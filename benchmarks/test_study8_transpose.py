@@ -7,7 +7,7 @@ transpose cost.
 
 import pytest
 
-from repro.kernels.transpose import transpose_operand
+from repro.kernels.dispatch import transpose_operand
 from repro.studies import study8_transpose
 
 from conftest import K, SCALE, build, dense_operand

@@ -9,7 +9,7 @@ specialized kernels; the specialized path should not be slower, and for COO
 
 import pytest
 
-from repro.kernels.optimized import specialize_spmm
+from repro.kernels.dispatch import compile_variant
 from repro.studies import study9_manual_opt
 
 from conftest import K, PAPER_FORMATS, SCALE, build, dense_operand
@@ -27,7 +27,7 @@ def test_generic_kernel(benchmark, fmt):
 def test_specialized_kernel(benchmark, fmt):
     A = build("x104", fmt)
     B = dense_operand(A)
-    kernel = specialize_spmm(A, K)  # specialization outside the timer
+    kernel = compile_variant(A, "optimized", K)  # specialization outside the timer
     C = benchmark(kernel, B)
     assert C.shape == (A.nrows, K)
 
@@ -39,7 +39,7 @@ def test_coo_specialization_wins():
 
     A = build("cant", "coo")
     B = dense_operand(A)
-    kernel = specialize_spmm(A, K)
+    kernel = compile_variant(A, "optimized", K)
 
     def best_of(fn, n=3):
         times = []

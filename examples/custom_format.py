@@ -26,7 +26,7 @@ import time
 import numpy as np
 
 from repro import formats, load_matrix
-from repro.bench.verify import verify_result
+from repro.verify.reference import verify_result
 from repro.dtypes import DEFAULT_POLICY
 from repro.matrices.coo_builder import Triplets
 

@@ -50,21 +50,6 @@ from .api import (
 
 __version__ = "1.1.0"
 
-#: Legacy top-level kernel entrypoints, now behind a deprecation gate:
-#: ``repro.run_spmm`` / ``repro.run_spmv`` keep working but warn, pointing
-#: at ``repro.api.multiply()``.  The undeprecated homes are
-#: ``repro.kernels.run_spmm`` / ``run_spmv``.
-_LEGACY_KERNEL_EXPORTS = ("run_spmm", "run_spmv")
-
-
-def __getattr__(name: str):
-    if name in _LEGACY_KERNEL_EXPORTS:
-        from ._compat import warn_legacy
-
-        warn_legacy(f"repro.{name}", "repro.api.multiply()")
-        return getattr(kernels, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "api",
@@ -99,8 +84,6 @@ __all__ = [
     "benchmark",
     "benchmark_grid",
     "tune",
-    "run_spmm",
-    "run_spmv",
     "trace_spmm",
     "trace_spmv",
     "__version__",

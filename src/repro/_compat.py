@@ -2,9 +2,8 @@
 
 The facade (:mod:`repro.api`) is the stable public surface; the older
 entrypoints — constructing :class:`~repro.bench.suite.SpmmBenchmark` or
-:class:`~repro.bench.runner.GridRunner` directly, or calling the
-``dispatch.spmm`` / top-level ``repro.run_spmm`` helpers — keep working but
-emit :class:`DeprecationWarning` pointing at their replacement (the mapping
+:class:`~repro.bench.runner.GridRunner` directly — keep working but emit
+:class:`DeprecationWarning` pointing at their replacement (the mapping
 lives in ``docs/api_migration.md``).
 
 The library itself still uses those classes internally (the facade wraps

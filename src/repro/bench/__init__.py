@@ -18,7 +18,7 @@ Two execution modes:
 
 from .params import BenchParams
 from .timing import TimingStats, measure
-from .verify import verify_result
+from ..verify.reference import verify_result
 from .observe import (
     Span,
     Tracer,

@@ -16,6 +16,7 @@ from typing import Iterator, Sequence
 
 from .._compat import legacy_ok, warn_legacy
 from ..errors import OffloadError
+from ..kernels.backward import BACKWARD_FORMATS
 from ..kernels.plan import PlanCache
 from ..machine.machines import Machine
 from .observe import Tracer
@@ -23,11 +24,6 @@ from .params import BenchParams
 from .suite import BenchResult, SpmmBenchmark
 
 __all__ = ["GridSpec", "RunRecord", "GridRunner"]
-
-
-#: Formats with a transpose-operand kernel — the backward operation's
-#: support set (kernels/backward.py).
-_BACKWARD_FORMATS = ("coo", "csr", "csr5", "ell", "bcsr")
 
 
 @dataclass(frozen=True)
@@ -65,8 +61,8 @@ class GridSpec:
         Block size only varies for BCSR (the paper's only block-size knob);
         thread counts only vary for parallel variants; SpGEMM collapses the
         variant and k axes (one algorithm, no dense width) and backward
-        keeps only formats with a transpose kernel — pointless axis
-        combinations are pruned.
+        keeps only the DL grid's backward formats (``BACKWARD_FORMATS``) —
+        pointless axis combinations are pruned.
         """
         for op in self.operations or (self.operation,):
             yield from self._expand(op)
@@ -79,7 +75,7 @@ class GridSpec:
             variants = ("serial",)
             k_axis = self.k_values[:1]
         elif op == "backward":
-            formats = tuple(f for f in self.formats if f in _BACKWARD_FORMATS)
+            formats = tuple(f for f in self.formats if f in BACKWARD_FORMATS)
         for matrix in self.matrices:
             for fmt in formats:
                 blocks: Sequence[int] = self.block_sizes if fmt == "bcsr" else (self.base_params.block_size,)

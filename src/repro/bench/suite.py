@@ -25,11 +25,10 @@ from .._compat import warn_legacy
 from ..errors import BenchConfigError, VerificationError
 from ..formats.base import SparseFormat
 from ..formats.registry import get_format
-from ..kernels.dispatch import run_spmm, run_spmv
+from ..kernels.dispatch import run_spmm, run_spmv, transpose_spmm
 from ..kernels.plan import ExecutionPlan, PlanCache, plan_supported
 from ..kernels.spgemm import spgemm, spgemm_flops
 from ..kernels.traces import trace_spmm, trace_spmv
-from ..kernels.transpose import transpose_spmm
 from ..machine.costmodel import CostBreakdown, predict_spmm_time
 from ..machine.machines import Machine
 from ..matrices.coo_builder import Triplets
@@ -38,7 +37,7 @@ from ..matrices.suite import load_matrix
 from .observe import Tracer
 from .params import BenchParams
 from .timing import TimingStats, flops_to_mflops, measure
-from .verify import verify_result
+from ..verify.reference import verify_result
 
 __all__ = ["SpmmBenchmark", "BenchResult", "OPERATIONS"]
 

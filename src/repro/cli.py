@@ -635,7 +635,11 @@ def _cmd_serve_listen(args: argparse.Namespace) -> int:
           f"({server.config.backend or 'thread'} backend, "
           f"max_queue={config.max_queue}, "
           f"migration={'on' if config.migration else 'off'})", flush=True)
-    server.wait()
+    # Wait in slices: a signal the kernel delivers to another thread only
+    # flags the handler, which runs when the main thread next executes
+    # bytecode — an untimed wait would never return to let it run.
+    while not server.wait(timeout=0.5):
+        pass
     trajectory = server._trajectory
     path = server.write_trajectory()
     accounting = trajectory["accounting"]

@@ -30,7 +30,7 @@ each a full interpreter of its own, fed over a pipe-based message protocol
 
 Workers are created before any parent worker thread starts, and the
 ``fork`` start method is safe here because the shared kernel thread pools
-re-arm themselves after fork (see ``repro.kernels.parallel``).
+re-arm themselves after fork (see ``repro.kernels.planner``).
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ class _WorkerState:
     def run(self, spec: dict) -> dict:
         from ...bench.observe import Tracer
         from ...bench.timing import measure
-        from ...bench.verify import verify_result
+        from ...verify.reference import verify_result
 
         tracer = Tracer()
         triplets = self.triplets_for(spec)

@@ -38,7 +38,7 @@ import numpy as np
 
 from ..bench.observe import Tracer
 from ..bench.timing import TimingStats, measure
-from ..bench.verify import verify_result
+from ..verify.reference import verify_result
 from ..dtypes import DEFAULT_POLICY, DTypePolicy
 from ..errors import EngineClosedError, EngineError
 from ..formats.base import SparseFormat

@@ -19,12 +19,13 @@ import numpy as np
 from ..errors import KernelError
 from ..formats.base import SparseFormat
 from ..matrices.coo_builder import Triplets
-from .transpose import transpose_spmm
+from .dispatch import transpose_spmm
 
 __all__ = ["BACKWARD_FORMATS", "backward_spmm", "transpose_format"]
 
-#: Formats with a transpose-operand kernel (kernels/transpose.py) — the
-#: backward path supports exactly these.
+#: The formats of the DL grid's backward cells (``BENCH_dl.json``).  The
+#: transposed-operand plan serves every format; this tuple declares which
+#: ones the DL grid benchmarks, so its cells stay comparable across runs.
 BACKWARD_FORMATS = ("coo", "csr", "csr5", "ell", "bcsr")
 
 
@@ -55,7 +56,7 @@ def backward_spmm(
     one — the same split as the forward Study 8 kernels this delegates to.
     The per-call transpose is the convenience path; benchmarks that want the
     transpose cost out of the timed region build ``transpose_format(A)``
-    once and call :func:`~repro.kernels.transpose.transpose_spmm` directly.
+    once and call :func:`~repro.kernels.dispatch.transpose_spmm` directly.
     """
     G = np.asarray(G)
     if G.ndim == 1:

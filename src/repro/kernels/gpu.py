@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import KernelError
-from .serial import serial_spmm
 from .traces import trace_spmm
 
 __all__ = ["GpuStats", "gpu_spmm", "gpu_execution_stats", "WARP_SIZE"]
@@ -93,14 +92,17 @@ def gpu_spmm(A, B: np.ndarray, k: int | None = None, *, runtime=None, **_opts) -
     :class:`repro.machine.offload.FaultyOffloadRuntime`); the paper's Aries
     machine failed exactly here.
     """
+    from .dispatch import serial_spmm  # lazy: dispatch imports this module
+
     if runtime is not None:
         runtime.check_launch(A)
-    C = serial_spmm(A, B, k)
-    return C
+    return serial_spmm(A, B, k)
 
 
 def gpu_spmm_with_stats(A, B: np.ndarray, k: int | None = None) -> tuple[np.ndarray, GpuStats]:
     """Convenience: result plus the warp statistics for the same launch."""
+    from .dispatch import serial_spmm  # lazy: dispatch imports this module
+
     B_checked = A.check_dense_operand(B, k)
     if B_checked.shape[1] <= 0:
         raise KernelError("empty dense operand")

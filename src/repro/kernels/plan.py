@@ -36,7 +36,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -46,8 +46,7 @@ from ..formats.base import SparseFormat
 from ..formats.registry import get_format
 from ..matrices.coo_builder import Triplets
 from .common import DEFAULT_CHUNK_ELEMENTS
-from .optimized import specialize_spmm
-from .parallel import specialize_parallel_spmm
+from .dispatch import compile_variant
 
 __all__ = [
     "PLAN_CACHE_VERSION",
@@ -223,29 +222,10 @@ def _specialize_variant(
     schedule: str,
     chunk_elements: int,
 ) -> Callable[..., np.ndarray]:
-    """Build the per-variant closure over a formatted matrix."""
-    if variant in ("serial", "optimized"):
-        kern = specialize_spmm(A, k, chunk_elements=chunk_elements)
-
-        def serial_call(B, tracer=None):
-            return kern(B)
-
-        return serial_call
-    if variant in ("parallel", "optimized_parallel"):
-        return specialize_parallel_spmm(A, k, threads=threads, schedule=schedule)
-    # Remaining plannable variants (transpose, grouped): the conversion
-    # artifact is the hoistable part; close over the generic kernel.
-    from .dispatch import get_kernel  # local: dispatch imports this module's peers
-
-    kern = get_kernel(variant, "spmm")
-    opts: dict[str, Any] = {}
-    if "parallel" in variant:
-        opts["threads"] = threads
-
-    def generic_call(B, tracer=None):
-        return kern(A, B, k, **opts)
-
-    return generic_call
+    """Compile the variant's plan over a formatted matrix."""
+    return compile_variant(
+        A, variant, k, threads=threads, schedule=schedule, chunk_elements=chunk_elements
+    )
 
 
 # -- the cache ----------------------------------------------------------------

@@ -9,10 +9,10 @@ show padding/permutation/chunking each bring distinct failure modes.  This
 package is the machine that hunts them:
 
 * :mod:`repro.verify.reference` — the COO/dense reference multiplies and the
-  tolerance model (absorbed from ``repro.bench.verify``);
+  tolerance model (formerly ``repro.bench.verify``);
 * :mod:`repro.verify.oracle` — the **differential oracle**: one logical
   multiply through every execution path (direct kernel, ``api.multiply``,
-  legacy dispatch, plan-cached/uncached, engine-batched/direct,
+  plan-cached/uncached, engine-batched/direct,
   ``variant="auto"``), asserted bit-identical or tolerance-bounded against
   the reference;
 * :mod:`repro.verify.metamorphic` — oracle-free relations: permutation

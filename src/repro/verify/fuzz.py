@@ -13,7 +13,7 @@ to reproduce it.  Cases rotate through three populations:
 * unstructured random matrices, including rectangular and near-empty ones.
 
 Each case runs through the differential oracle (rotating execution-path
-subsets so the cheap paths cover every case and the engine/legacy paths
+subsets so the cheap paths cover every case and the engine/server paths
 sample every few cases) and one rotating metamorphic relation sweep.  A
 failure is shrunk (:mod:`repro.verify.shrink`) against the exact check
 that failed, then persisted to the corpus (:mod:`repro.verify.corpus`).

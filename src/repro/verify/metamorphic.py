@@ -43,9 +43,6 @@ from .reference import result_tolerance
 
 __all__ = ["METAMORPHIC_RELATIONS", "run_metamorphic", "run_relation"]
 
-#: Formats with a transpose-operand kernel (kernels/transpose.py).
-_TRANSPOSE_FORMATS = ("coo", "csr", "csr5", "ell", "bcsr")
-
 
 def _build(fmt: str, triplets: Triplets):
     return get_format(fmt).from_triplets(triplets, **DEFAULT_FORMAT_PARAMS.get(fmt, {}))
@@ -134,7 +131,7 @@ def transpose_duality(triplets, B, k, fmt, variant, rtol):
             f"transpose duality (x@C vs (A^T x)@B) violated: max abs deviation {err:.3e}"
         )
     # Study 8 kernels: transposed-operand variant must match the straight one.
-    if fmt in _TRANSPOSE_FORMATS and not variant.endswith("_transpose"):
+    if not variant.endswith("_transpose"):
         Ct = _multiply(fmt, "serial_transpose", triplets, B, k)
         terr = _mismatch(Ct, C, rtol)
         if terr is not None:
@@ -182,10 +179,7 @@ def format_roundtrip(triplets, B, k, fmt, variant, rtol):
 
 def backward_duality(triplets, B, k, fmt, variant, rtol):
     """Backward A^T@G == transpose kernel on explicit A^T, bit for bit."""
-    if fmt not in _TRANSPOSE_FORMATS:
-        return []
-    from ..kernels.backward import backward_spmm
-    from ..kernels.transpose import transpose_spmm
+    from ..kernels.backward import backward_spmm, transpose_spmm
 
     failures = []
     params = DEFAULT_FORMAT_PARAMS.get(fmt, {})

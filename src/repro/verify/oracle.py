@@ -6,7 +6,6 @@ every way the repository can compute the product —
 
 * ``direct`` — the raw kernel via :func:`repro.kernels.dispatch.run_spmm`;
 * ``api`` — the stable facade, :func:`repro.api.multiply`;
-* ``legacy`` — the deprecated ``dispatch.spmm`` alias (shim must not skew);
 * ``plan_uncached`` / ``plan_cached`` — a fresh :class:`PlanCache` build,
   then the memoized plan for the same key (provenance asserted);
 * ``engine_direct`` / ``engine_batched`` — one request through the batched
@@ -38,7 +37,6 @@ variant) cell — the predicate the shrinker minimizes against.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -63,7 +61,6 @@ __all__ = [
 PATH_NAMES = (
     "direct",
     "api",
-    "legacy",
     "plan_uncached",
     "plan_cached",
     "engine_direct",
@@ -85,11 +82,9 @@ DEFAULT_FORMAT_PARAMS: dict[str, dict[str, int]] = {
     "sell": {"chunk": 4, "sigma": 8},
 }
 
-#: Formats each non-universal variant supports (see kernels/transpose.py,
-#: kernels/grouped.py); everything else runs on all registered formats.
+#: Formats each non-universal variant supports (the grouped-row plan needs
+#: a row pointer); everything else runs on all registered formats.
 _VARIANT_FORMATS = {
-    "serial_transpose": ("coo", "csr", "csr5", "ell", "bcsr"),
-    "parallel_transpose": ("coo", "csr", "csr5", "ell", "bcsr"),
     "grouped": ("coo", "csr", "csr5"),
     "grouped_parallel": ("coo", "csr", "csr5"),
 }
@@ -224,7 +219,7 @@ class DifferentialOracle:
 
     def _get_engine(self):
         if self._engine is None:
-            from ..engine import Engine  # lazy: engine imports bench.verify
+            from ..engine import Engine  # lazy: engine imports verify.reference
 
             self._engine = Engine(workers=2, max_in_flight=16, backend=self.backend)
         return self._engine
@@ -328,7 +323,7 @@ class DifferentialOracle:
             if path == "direct":
                 return [run_spmm(A, B, variant=variant, k=k, **self._kernel_options(variant))]
             if path == "api":
-                from .. import api  # lazy: api imports bench.suite imports bench.verify
+                from .. import api  # lazy: api imports bench.suite imports verify.reference
 
                 return [
                     api.multiply(
@@ -341,14 +336,6 @@ class DifferentialOracle:
                         **self._kernel_options(variant),
                     )
                 ]
-            if path == "legacy":
-                from ..kernels import dispatch
-
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", DeprecationWarning)
-                    return [
-                        dispatch.spmm(A, B, variant=variant, k=k, **self._kernel_options(variant))
-                    ]
             if path in ("plan_uncached", "plan_cached"):
                 return self._run_plan_path(path, triplets, fmt, variant, B, k)
             if path in ("engine_direct", "engine_batched"):
@@ -426,7 +413,7 @@ class DifferentialOracle:
         """Client → socket → server → engine, bit-identical to api.multiply."""
         if variant == "auto":
             return None
-        from .. import api  # lazy: api imports bench.suite imports bench.verify
+        from .. import api  # lazy: api imports bench.suite imports verify.reference
 
         dense = np.ascontiguousarray(B[:, :k])
         params = self.format_params.get(fmt)

@@ -78,9 +78,13 @@ class TestTracer:
 
     def test_record_worker_defaults_to_thread_ident(self):
         tracer = Tracer()
+        # Both threads stay alive until both have recorded: a finished
+        # thread's ident can be reused by the next one.
+        both_recorded = threading.Barrier(2, timeout=10)
 
         def work():
             tracer.record_worker(0.25)
+            both_recorded.wait()
 
         threads = [threading.Thread(target=work) for _ in range(2)]
         for t in threads:

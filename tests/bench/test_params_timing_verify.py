@@ -8,7 +8,7 @@ import pytest
 
 from repro.bench.params import BenchParams
 from repro.bench.timing import TimingStats, flops_to_mflops, measure
-from repro.bench.verify import reference_spmm, verify_result
+from repro.verify.reference import reference_spmm, verify_result
 from repro.dtypes import POLICY_32
 from repro.errors import BenchConfigError, VerificationError
 from tests.conftest import build_format

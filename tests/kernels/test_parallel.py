@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import KernelError
-from repro.kernels.parallel import parallel_spmm
+from repro.kernels.dispatch import parallel_spmm
 from tests.conftest import ALL_FORMATS, build_format, make_random_triplets
 
 
@@ -113,18 +113,18 @@ class TestThreadClamp:
 
     @staticmethod
     def _no_affinity(monkeypatch):
-        from repro.kernels import parallel
+        from repro.kernels import planner
 
-        monkeypatch.delattr(parallel.os, "sched_getaffinity", raising=False)
+        monkeypatch.delattr(planner.os, "sched_getaffinity", raising=False)
 
     def test_affinity_mask_wins_over_cpu_count(self, monkeypatch):
         from repro.bench.observe import Tracer
-        from repro.kernels import parallel
-        from repro.kernels.parallel import effective_threads
+        from repro.kernels import planner
+        from repro.kernels.planner import effective_threads
 
-        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(planner.os, "cpu_count", lambda: 64)
         monkeypatch.setattr(
-            parallel.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False
+            planner.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False
         )
         tracer = Tracer()
         assert effective_threads(32, tracer) == 3
@@ -136,11 +136,11 @@ class TestThreadClamp:
 
     def test_clamped_to_cpu_count_without_affinity(self, monkeypatch):
         from repro.bench.observe import Tracer
-        from repro.kernels import parallel
-        from repro.kernels.parallel import effective_threads
+        from repro.kernels import planner
+        from repro.kernels.planner import effective_threads
 
         self._no_affinity(monkeypatch)
-        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(planner.os, "cpu_count", lambda: 2)
         tracer = Tracer()
         assert effective_threads(32, tracer) == 2
         assert tracer.warnings["thread_clamp"] == 1
@@ -150,42 +150,42 @@ class TestThreadClamp:
 
     def test_no_clamp_within_cores(self, monkeypatch):
         from repro.bench.observe import Tracer
-        from repro.kernels import parallel
-        from repro.kernels.parallel import effective_threads
+        from repro.kernels import planner
+        from repro.kernels.planner import effective_threads
 
         self._no_affinity(monkeypatch)
-        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(planner.os, "cpu_count", lambda: 8)
         tracer = Tracer()
         assert effective_threads(4, tracer) == 4
         assert "thread_clamp" not in tracer.warnings
 
     def test_empty_affinity_falls_back_to_cpu_count(self, monkeypatch):
         from repro.bench.observe import Tracer
-        from repro.kernels import parallel
-        from repro.kernels.parallel import effective_threads
+        from repro.kernels import planner
+        from repro.kernels.planner import effective_threads
 
-        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(planner.os, "cpu_count", lambda: 4)
         monkeypatch.setattr(
-            parallel.os, "sched_getaffinity", lambda pid: set(), raising=False
+            planner.os, "sched_getaffinity", lambda pid: set(), raising=False
         )
         tracer = Tracer()
         assert effective_threads(8, tracer) == 4
         assert tracer.counters["threads_cap_cpu_count"] == 1
 
     def test_cpu_count_none_falls_back_to_one(self, monkeypatch):
-        from repro.kernels import parallel
-        from repro.kernels.parallel import effective_threads
+        from repro.kernels import planner
+        from repro.kernels.planner import effective_threads
 
         self._no_affinity(monkeypatch)
-        monkeypatch.setattr(parallel.os, "cpu_count", lambda: None)
+        monkeypatch.setattr(planner.os, "cpu_count", lambda: None)
         assert effective_threads(16) == 1
 
     def test_clamp_still_correct(self, small_triplets, rng, monkeypatch):
-        from repro.kernels import parallel
+        from repro.kernels import planner
 
-        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(planner.os, "cpu_count", lambda: 1)
         monkeypatch.setattr(
-            parallel.os, "sched_getaffinity", lambda pid: {0}, raising=False
+            planner.os, "sched_getaffinity", lambda pid: {0}, raising=False
         )
         A = build_format("csr", small_triplets)
         B = rng.standard_normal((A.ncols, 4))
@@ -200,17 +200,17 @@ class TestForkSafety:
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="requires os.fork")
     def test_shared_pool_usable_after_fork(self):
-        from repro.kernels import parallel
-        from repro.kernels.parallel import shared_pool
+        from repro.kernels import planner
+        from repro.kernels.planner import shared_pool
 
         # Prime a pool in the parent so the child inherits a dead entry.
         assert shared_pool(2).submit(lambda: 7).result(timeout=10) == 7
-        assert 2 in parallel._SHARED_POOLS
+        assert 2 in planner._SHARED_POOLS
         pid = os.fork()
         if pid == 0:
             # Child: report via exit code; os._exit skips pytest teardown.
             try:
-                if parallel._SHARED_POOLS:
+                if planner._SHARED_POOLS:
                     os._exit(3)  # registry not cleared by the at-fork hook
                 ok = shared_pool(2).submit(lambda: 11).result(timeout=10) == 11
                 os._exit(0 if ok else 1)

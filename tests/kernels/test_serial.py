@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from repro.errors import KernelError
-from repro.kernels.serial import (
-    SERIAL_KERNELS,
-    bcsr_spmm_serial,
-    serial_spmm,
-    spmm_serial_reference,
-)
+from repro.formats.registry import format_names
+from repro.kernels.common import plan_stream_segments, run_stream_segments
+from repro.kernels.dispatch import serial_spmm
+from repro.kernels.planner import SpmmPlan, execute, plan_spmm
+from repro.verify.reference import reference_spmm
 from tests.conftest import ALL_FORMATS, build_format, make_random_triplets
 
 
@@ -60,8 +59,10 @@ class TestSerialCorrectness:
         B = rng.standard_normal((6, 4))
         assert np.allclose(serial_spmm(A, B), 0.0)
 
-    def test_every_registered_kernel_exists(self):
-        assert set(SERIAL_KERNELS) == set(ALL_FORMATS)
+    def test_every_registered_kernel_exists(self, small_triplets):
+        assert set(format_names()) == set(ALL_FORMATS)
+        for fmt in format_names():
+            assert isinstance(plan_spmm(build_format(fmt, small_triplets), 4), SpmmPlan)
 
     def test_dispatch_unknown_format(self, small_triplets, rng):
         class Fake:
@@ -71,11 +72,8 @@ class TestSerialCorrectness:
             serial_spmm(Fake(), rng.standard_normal((3, 2)))
 
     def test_reference_helper(self, small_triplets, rng):
-        A = build_format("csr", small_triplets)
-        B = rng.standard_normal((A.ncols, 4))
-        assert np.allclose(
-            spmm_serial_reference(A, B), dense_ref(small_triplets, B)
-        )
+        B = rng.standard_normal((small_triplets.ncols, 4))
+        assert np.allclose(reference_spmm(small_triplets, B), dense_ref(small_triplets, B))
 
 
 class TestChunking:
@@ -83,33 +81,26 @@ class TestChunking:
         t = make_random_triplets(50, 50, density=0.15, seed=9)
         A = build_format("bcsr", t)
         B = rng.standard_normal((50, 8))
-        full = bcsr_spmm_serial(A, B)
-        tiny_chunks = bcsr_spmm_serial(A, B, max_elements=64)
-        assert np.allclose(full, tiny_chunks)
+        full = serial_spmm(A, B)
+        tiny_chunks = serial_spmm(A, B, chunk_elements=64)
+        assert np.array_equal(full, tiny_chunks)
 
     def test_stream_chunked_matches(self, rng):
         t = make_random_triplets(60, 40, density=0.2, seed=10)
         A = build_format("csr", t)
         B = rng.standard_normal((40, 8))
-        from repro.kernels.serial import _segmented_stream_spmm
-
-        C1 = np.zeros((60, 8))
-        _segmented_stream_spmm(A.indptr, A.indices, A.values, B, C1)
-        C2 = np.zeros((60, 8))
-        _segmented_stream_spmm(
-            A.indptr, A.indices, A.values, B, C2, max_elements=32
-        )
-        assert np.allclose(C1, C2)
+        C1 = execute(plan_spmm(A, 8), B)
+        C2 = execute(plan_spmm(A, 8, chunk_elements=32), B)
+        assert np.array_equal(C1, C2)
 
     def test_row_range_restricts(self, small_triplets, rng):
-        from repro.kernels.serial import _segmented_stream_spmm
-
         A = build_format("csr", small_triplets)
         B = rng.standard_normal((A.ncols, 5))
         C = np.zeros((A.nrows, 5))
-        _segmented_stream_spmm(
-            A.indptr, A.indices, A.values, B, C, row_range=(5, 12)
+        segments = plan_stream_segments(
+            A.indptr, A.indices, A.values[:, None], 5, row_range=(5, 12)
         )
+        run_stream_segments(segments, B, C)
         ref = small_triplets.to_dense() @ B
         assert np.allclose(C[5:12], ref[5:12])
         assert np.allclose(C[:5], 0.0)

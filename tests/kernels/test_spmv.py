@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ShapeError
-from repro.kernels.spmv import parallel_spmv, serial_spmv
+from repro.kernels.dispatch import parallel_spmv, serial_spmv
 from tests.conftest import ALL_FORMATS, build_format
 
 

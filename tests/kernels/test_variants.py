@@ -4,15 +4,21 @@ plus the dispatch table."""
 import numpy as np
 import pytest
 
-from repro.errors import KernelError, OffloadError
-from repro.kernels.dispatch import get_kernel, kernel_variants, run_spmm
+from repro.errors import KernelError, OffloadError, ShapeError
+from repro.kernels.dispatch import (
+    compile_variant,
+    get_kernel,
+    grouped_spmm,
+    kernel_variants,
+    optimized_spmm,
+    run_spmm,
+    transpose_operand,
+    transpose_spmm,
+)
 from repro.kernels.gpu import gpu_execution_stats, gpu_spmm, gpu_spmm_with_stats
-from repro.kernels.grouped import build_plan, grouped_spmm
-from repro.kernels.optimized import optimized_spmm, specialize_spmm
-from repro.kernels.transpose import transpose_operand, transpose_spmm
+from repro.kernels.plan import PlanCache
+from repro.kernels.planner import execute, plan_spmm, row_groups
 from tests.conftest import ALL_FORMATS, build_format, make_random_triplets
-
-TRANSPOSE_FORMATS = ("coo", "csr", "ell", "bcsr", "csr5")
 
 
 def dense_ref(triplets, B):
@@ -66,7 +72,7 @@ class TestTranspose:
         assert Bt.shape == (5, 7)
         assert Bt.flags.c_contiguous
 
-    @pytest.mark.parametrize("fmt", TRANSPOSE_FORMATS)
+    @pytest.mark.parametrize("fmt", ALL_FORMATS)
     @pytest.mark.parametrize("threads", [1, 4])
     def test_correctness(self, small_triplets, rng, fmt, threads):
         A = build_format(fmt, small_triplets)
@@ -74,7 +80,7 @@ class TestTranspose:
         C = transpose_spmm(A, B, threads=threads)
         assert np.allclose(C, dense_ref(small_triplets, B))
 
-    @pytest.mark.parametrize("fmt", TRANSPOSE_FORMATS)
+    @pytest.mark.parametrize("fmt", ALL_FORMATS)
     def test_skewed(self, skewed_triplets, rng, fmt):
         A = build_format(fmt, skewed_triplets)
         B = rng.standard_normal((A.ncols, 4))
@@ -83,20 +89,16 @@ class TestTranspose:
         )
 
     def test_pre_transposed_operand(self, small_triplets, rng):
+        """The plan runs on the strided view of an already-transposed B."""
         A = build_format("csr", small_triplets)
         B = rng.standard_normal((A.ncols, 6))
-        C = transpose_spmm(A, transpose_operand(B), pre_transposed=True)
+        C = execute(plan_spmm(A, 6), transpose_operand(B).T)
         assert np.allclose(C, dense_ref(small_triplets, B))
 
     def test_pre_transposed_bad_shape(self, small_triplets, rng):
         A = build_format("csr", small_triplets)
-        with pytest.raises(KernelError):
-            transpose_spmm(A, rng.standard_normal((4, A.ncols + 1)), pre_transposed=True)
-
-    def test_bell_unsupported(self, small_triplets, rng):
-        A = build_format("bell", small_triplets)
-        with pytest.raises(KernelError):
-            transpose_spmm(A, rng.standard_normal((A.ncols, 3)))
+        with pytest.raises(ShapeError):
+            transpose_spmm(A, rng.standard_normal((4, A.ncols + 1)).T)
 
     def test_variant_names_route(self, small_triplets, rng):
         A = build_format("bcsr", small_triplets)
@@ -111,20 +113,23 @@ class TestOptimized:
     def test_specialized_matches(self, small_triplets, rng, fmt):
         A = build_format(fmt, small_triplets)
         B = rng.standard_normal((A.ncols, 8))
-        kernel = specialize_spmm(A, 8)
+        kernel = compile_variant(A, "optimized", 8)
         assert np.allclose(kernel(B), dense_ref(small_triplets, B))
 
     def test_specialization_cached(self, small_triplets, rng):
+        """The plan cache is the one specialization memo."""
+        B = rng.standard_normal((small_triplets.ncols, 8))
+        cache = PlanCache()
+        plan, built = cache.get_or_build_plan(small_triplets, "csr", variant="optimized", k=8)
+        again, hit = cache.get_or_build_plan(small_triplets, "csr", variant="optimized", k=8)
+        assert (built, hit) == ("built", "memory") and again is plan
         A = build_format("csr", small_triplets)
-        B = rng.standard_normal((A.ncols, 8))
-        C1 = optimized_spmm(A, B)
-        C2 = optimized_spmm(A, B)
-        assert np.array_equal(C1, C2)
+        assert np.array_equal(plan(B), optimized_spmm(A, B))
 
     def test_k_must_be_positive(self, small_triplets):
         A = build_format("csr", small_triplets)
         with pytest.raises(KernelError):
-            specialize_spmm(A, 0)
+            compile_variant(A, "optimized", 0)
 
     def test_fixed_k_clips(self, small_triplets, rng):
         A = build_format("csr", small_triplets)
@@ -137,12 +142,11 @@ class TestOptimized:
         not be rebuilt per call (smoke check via timing monotonicity)."""
         import time
 
-        A = build_format("coo", small_triplets)
-        B = rng.standard_normal((A.ncols, 8))
-        optimized_spmm(A, B)  # builds the plan
+        B = rng.standard_normal((small_triplets.ncols, 8))
+        plan, _ = PlanCache().get_or_build_plan(small_triplets, "coo", variant="optimized", k=8)
         t0 = time.perf_counter()
         for _ in range(5):
-            optimized_spmm(A, B)
+            plan(B)
         hot = time.perf_counter() - t0
         assert hot < 1.0  # sanity: cached path is cheap
 
@@ -158,11 +162,11 @@ class TestGrouped:
 
     def test_plan_groups_by_length(self, small_triplets):
         A = build_format("csr", small_triplets)
-        plan = build_plan(A)
-        total_rows = sum(rows.size for rows, _, _ in plan.groups)
+        groups = row_groups(A)
+        total_rows = sum(rows.size for rows, _, _ in groups)
         nonempty = int((small_triplets.row_counts() > 0).sum())
         assert total_rows == nonempty
-        for _, idx_mat, val_mat in plan.groups:
+        for _, idx_mat, val_mat in groups:
             assert idx_mat.shape == val_mat.shape
 
     def test_empty_rows_stay_zero(self, empty_rows_triplets, rng):

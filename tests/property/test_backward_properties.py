@@ -21,7 +21,7 @@ from repro.kernels.backward import (
     backward_spmm,
     transpose_format,
 )
-from repro.kernels.transpose import transpose_spmm
+from repro.kernels.dispatch import transpose_spmm
 from repro.matrices.generators import block_sparse_matrix, magnitude_pruned_matrix
 from tests.conftest import FORMAT_PARAMS
 from tests.property.test_format_properties import sparse_matrices

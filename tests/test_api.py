@@ -153,30 +153,12 @@ class TestDeprecationShims:
         with pytest.warns(DeprecationWarning, match="benchmark_grid"):
             GridRunner(GridSpec(matrices=("dw4096",), formats=("csr",)))
 
-    def test_dispatch_spmm_alias_warns_and_works(self):
-        from repro.kernels.dispatch import spmm
+    def test_removed_kernel_shims_are_gone(self):
+        """The old kernel aliases were removed, not left to drift."""
+        from repro.kernels import dispatch
 
-        t = make_random_triplets(20, 16, density=0.3, seed=5)
-        A = repro.CSR.from_triplets(t)
-        B = np.random.default_rng(0).random((16, 4))
-        with pytest.warns(DeprecationWarning, match="multiply"):
-            C = spmm(A, B)
-        np.testing.assert_allclose(C, t.to_dense() @ B, rtol=1e-12)
-
-    def test_dispatch_spmv_alias_warns_and_works(self):
-        from repro.kernels.dispatch import spmv
-
-        t = make_random_triplets(20, 16, density=0.3, seed=5)
-        A = repro.CSR.from_triplets(t)
-        x = np.random.default_rng(0).random(16)
-        with pytest.warns(DeprecationWarning, match="multiply"):
-            y = spmv(A, x)
-        np.testing.assert_allclose(y, t.to_dense() @ x, rtol=1e-12)
-
-    def test_top_level_run_spmm_attribute_warns(self):
-        with pytest.warns(DeprecationWarning, match="repro.run_spmm"):
-            fn = repro.run_spmm
-        assert callable(fn)
+        assert not hasattr(repro, "run_spmm") and not hasattr(repro, "run_spmv")
+        assert not hasattr(dispatch, "spmm") and not hasattr(dispatch, "spmv")
 
     def test_undeprecated_homes_stay_silent(self):
         """kernels.run_spmm and the facade must not warn."""

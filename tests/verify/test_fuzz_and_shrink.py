@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.kernels import dispatch
-from repro.kernels.serial import serial_spmm
+from repro.kernels.dispatch import serial_spmm
 from repro.verify import (
     generate_case,
     load_corpus,

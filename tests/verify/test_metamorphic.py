@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.kernels import dispatch
-from repro.kernels.serial import serial_spmm
+from repro.kernels.dispatch import serial_spmm, transpose_spmm
 from repro.verify import METAMORPHIC_RELATIONS, run_metamorphic, run_relation
 from repro.verify.adversarial import build_adversarial
 from tests.conftest import ALL_FORMATS, make_random_triplets
@@ -59,8 +59,6 @@ class TestRelationsDetectBugs:
         assert failures
 
     def test_transpose_duality_catches_transpose_kernel_bug(self, monkeypatch):
-        from repro.kernels.transpose import transpose_spmm
-
         def buggy(A, B, k=None, **opts):
             opts.pop("threads", None)
             return transpose_spmm(A, B, k, threads=1, **opts) * 1.5

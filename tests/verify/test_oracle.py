@@ -12,9 +12,8 @@ import pytest
 from repro import api
 from repro.engine import Engine, SpmmRequest
 from repro.kernels import dispatch
-from repro.kernels.dispatch import run_spmm
+from repro.kernels.dispatch import run_spmm, serial_spmm
 from repro.kernels.plan import PlanCache
-from repro.kernels.serial import serial_spmm
 from repro.tune.store import TuneStore
 from repro.verify import (
     PATH_NAMES,
@@ -143,9 +142,10 @@ class TestOracleDetection:
 
 
 class TestSupportedVariants:
-    def test_transpose_limited_to_implemented_formats(self):
-        assert "serial_transpose" in supported_variants("csr", ("serial_transpose",))
-        assert supported_variants("sell", ("serial_transpose",)) == ()
+    def test_transpose_on_every_format(self):
+        for fmt in FORMAT_PARAMS:
+            variants = ("serial_transpose", "parallel_transpose")
+            assert supported_variants(fmt, variants) == variants
 
     def test_grouped_limited(self):
         assert "grouped" in supported_variants("coo", ("grouped",))
@@ -157,5 +157,5 @@ class TestSupportedVariants:
 
     def test_path_names_cover_issue_matrix(self):
         for required in ("plan_uncached", "plan_cached", "engine_direct",
-                         "engine_batched", "api", "legacy", "auto"):
+                         "engine_batched", "api", "auto"):
             assert required in PATH_NAMES
