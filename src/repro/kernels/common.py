@@ -1,12 +1,16 @@
-"""Shared kernel machinery: segment sums, row chunking, operand checks.
+"""Shared kernel machinery: the slot-major layout, row chunking, partitions.
 
-The SpMM inner product over a sparse row is a *segmented reduction* over the
-row-major entry stream; every CPU kernel here reduces with
-:func:`segment_sum` (``np.add.reduceat`` with empty-segment repair) instead
-of per-row Python loops.  Row chunking bounds the ``(entries, k)``
-intermediate so large matrices never materialize multi-GB temporaries —
-the paper hit exactly this wall (§6.3.5, "they used a huge amount of the
-available RAM").
+The paper's kernels add each row of C left to right over its stored
+entries, into a zeroed C (the ``C[i] += ...`` loops of §4.1-4.2).  Every
+summing CPU kernel here keeps that order without a per-row Python loop by
+visiting the entries slot-major — the jagged-diagonal / SELL-C-sigma layout
+of Kreutzer et al.: rows sorted longest first, slot ``j`` adding the
+``j``-th entry of every row that has one (:func:`slot_layout`).  Slots
+that few rows reach run from products formed up front
+(:data:`THIN_ELEMENTS`).  Row chunking bounds what a unit gathers at once
+so large matrices never materialize multi-GB temporaries — the paper hit
+exactly this wall (§6.3.5, "they used a huge amount of the available
+RAM").
 """
 
 from __future__ import annotations
@@ -18,11 +22,11 @@ import numpy as np
 from ..errors import KernelError
 
 __all__ = [
-    "segment_sum",
+    "slot_layout",
+    "expand",
+    "THIN_ELEMENTS",
     "iter_row_chunks",
     "balanced_partitions",
-    "plan_stream_segments",
-    "run_stream_segments",
     "DEFAULT_CHUNK_ELEMENTS",
 ]
 
@@ -30,85 +34,39 @@ __all__ = [
 DEFAULT_CHUNK_ELEMENTS = 32_000_000
 
 
-def segment_sum(flat: np.ndarray, indptr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Sum rows of ``flat`` over the segments described by ``indptr``.
+def slot_layout(indptr: np.ndarray) -> tuple:
+    """The jagged-diagonal (slot-major) layout of the rows under ``indptr``.
 
-    ``flat`` has one row per entry, ``indptr`` is a CSR-style pointer with
-    ``indptr[-1] == len(flat)``.  Empty segments produce zero rows —
-    ``np.add.reduceat`` alone mishandles them (it returns the element at a
-    repeated index), so reduction runs over nonempty segments only.
+    Returns ``(order, ptr, offsets, perm)``: the nonempty rows, longest
+    first (ties keep row order); a pointer over their entries in that
+    order; the slot offsets — slot ``j`` holds the ``j``-th entry of each of
+    the first ``offsets[j + 1] - offsets[j]`` rows; and the entry index at
+    each slot-major position.  Fully vectorized.
     """
-    nseg = indptr.size - 1
-    k = flat.shape[1] if flat.ndim == 2 else 1
-    if out is None:
-        out = np.zeros((nseg, k), dtype=flat.dtype)
-    else:
-        out[:] = 0
-    if flat.shape[0] == 0:
-        return out
-    seg_len = np.diff(indptr)
-    nonempty = seg_len > 0
-    starts = indptr[:-1][nonempty]
-    reduced = np.add.reduceat(flat, starts, axis=0)
-    out[nonempty] = reduced
-    return out
+    lengths = np.diff(indptr)
+    order = np.argsort(-lengths, kind="stable")
+    nslots = int(lengths.max(initial=0))
+    widths = lengths.size - np.cumsum(np.bincount(lengths, minlength=nslots + 1))[:nslots]
+    offsets = np.concatenate([[0], np.cumsum(widths)])
+    # Position i of slot j holds entry j of row order[i]; int32 positions
+    # halve the build's memory traffic.
+    pos = np.int32 if indptr[-1] - indptr[0] < 2**31 else np.int64
+    rank = np.arange(offsets[-1], dtype=pos)
+    rank -= np.repeat(offsets[:-1].astype(pos), widths)
+    perm = indptr[:-1][order][rank]
+    perm += np.repeat(np.arange(nslots, dtype=pos), widths)
+    order = order[: widths[0] if nslots else 0]
+    return order, np.concatenate([[0], np.cumsum(lengths[order])]), offsets, perm
 
 
-def plan_stream_segments(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    values_col: np.ndarray,
-    k: int,
-    row_range: tuple[int, int] | None = None,
-    max_elements: int = DEFAULT_CHUNK_ELEMENTS,
-) -> list[tuple]:
-    """Precompute the segmented-reduction schedule for one row range.
-
-    Everything :func:`segment_sum` re-derives per call — the chunk
-    boundaries, the ``reduceat`` start offsets, and the empty-segment mask —
-    plus contiguous per-chunk value/index slices, captured once so repeat
-    calls only gather, scale, and reduce.  ``values_col`` is the value
-    array already shaped ``(nnz, 1)``; pass the same reference when
-    planning several ranges to avoid re-copying it per range.
-    """
-    r_lo, r_hi = row_range if row_range is not None else (0, indptr.size - 1)
-    sub_ptr = indptr[r_lo : r_hi + 1]
-    base = int(sub_ptr[0])
-    segments = []
-    for c0, c1 in iter_row_chunks(sub_ptr - base, k, max_elements):
-        e0, e1 = int(sub_ptr[c0]), int(sub_ptr[c1])
-        if e0 == e1:
-            continue
-        local_ptr = sub_ptr[c0 : c1 + 1] - e0
-        seg_len = np.diff(local_ptr)
-        nonempty = seg_len > 0
-        starts = np.ascontiguousarray(local_ptr[:-1][nonempty])
-        mask = None if bool(nonempty.all()) else nonempty
-        segments.append((
-            r_lo + c0,
-            r_lo + c1,
-            values_col[e0:e1],
-            np.ascontiguousarray(indices[e0:e1]),
-            starts,
-            mask,
-        ))
-    return segments
+#: Slots whose rows hold at most this many output elements in all are thin.
+THIN_ELEMENTS = 4096
 
 
-def run_stream_segments(segments: list[tuple], B: np.ndarray, C: np.ndarray) -> None:
-    """Execute a precomputed segment schedule: gather, scale, reduceat.
-
-    ``C`` must arrive zero-initialized — rows of empty segments are never
-    written (the same contract :func:`segment_sum` provides via its
-    ``out[:] = 0`` reset).
-    """
-    for r0, r1, vals, idx, starts, mask in segments:
-        products = vals * B[idx]
-        reduced = np.add.reduceat(products, starts, axis=0)
-        if mask is None:
-            C[r0:r1] = reduced
-        else:
-            C[r0:r1][mask] = reduced
+def expand(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(s, s + n)`` for each ``(s, n)`` pair."""
+    ends = np.cumsum(counts)
+    return np.arange(int(ends[-1]) if ends.size else 0) + np.repeat(starts - ends + counts, counts)
 
 
 def iter_row_chunks(
@@ -126,10 +84,8 @@ def iter_row_chunks(
     budget_entries = max(1, max_elements // max(k, 1))
     r0 = 0
     while r0 < nrows:
-        target = indptr[r0] + budget_entries
-        r1 = int(np.searchsorted(indptr, target, side="right")) - 1
-        r1 = max(r1, r0 + 1)
-        r1 = min(r1, nrows)
+        r1 = int(np.searchsorted(indptr, indptr[r0] + budget_entries, side="right")) - 1
+        r1 = min(max(r1, r0 + 1), nrows)
         yield r0, r1
         r0 = r1
 
@@ -144,12 +100,6 @@ def balanced_partitions(indptr: np.ndarray, parts: int) -> list[tuple[int, int]]
     if parts < 1:
         raise KernelError(f"parts must be >= 1, got {parts}")
     nrows = indptr.size - 1
-    total = int(indptr[-1])
-    bounds = [0]
-    for p in range(1, parts):
-        target = total * p // parts
-        r = int(np.searchsorted(indptr, target, side="left"))
-        r = min(max(r, bounds[-1]), nrows)
-        bounds.append(r)
-    bounds.append(nrows)
-    return [(bounds[i], bounds[i + 1]) for i in range(parts)]
+    targets = int(indptr[-1]) * np.arange(1, parts) // parts
+    bounds = [0, *np.minimum(np.searchsorted(indptr, targets), nrows).tolist(), nrows]
+    return list(zip(bounds[:-1], bounds[1:]))

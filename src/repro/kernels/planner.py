@@ -12,23 +12,23 @@ single-kernel argument of Kreutzer et al., applied to variants).
 
 Per format:
 
-* **COO / CSR / CSR5** stream the row-major entries: gather, scale,
-  segmented reduction (:func:`~repro.kernels.common.plan_stream_segments`);
-* **SELL-C-sigma** streams its padded chunk-major storage, a padded CSR over
-  sorted rows (:meth:`~repro.formats.sell.SELL.padded_indptr`), and finishes
-  by scattering through the row permutation;
-* **ELL** runs its slot loop per row range — the "very simple and easily
+* **COO / CSR / CSR5 / SELL-C-sigma** run the slot loop of
+  :mod:`repro.kernels.common` over their rows sorted longest first, SELL
+  over its padded chunk-major storage (a padded CSR over its sorted rows,
+  :meth:`~repro.formats.sell.SELL.padded_indptr`) written back through its
+  permutation; units split the sorted rows by work;
+* **ELL** runs the same loop per row range — the "very simple and easily
   vectorizable" loop of §2.2, padded slots included — and **BELL** per
   slice fragment, with that slice's width;
-* **BCSR** runs a chunked block-row einsum (dense tile times gathered B
-  panel) with ``segment_sum``, and finishes by trimming the padded rows;
+* **BCSR** runs it over block rows in the paper's block-loop order (each
+  block, then each of its columns), and finishes by trimming padded rows;
 * **CSR5** under the parallel schedules splits into equal-nnz tiles instead
-  of rows — the CSR5 load-balance story — and merges the partial sums of
-  rows that cross tile boundaries ("dirty rows") when finishing.
+  of rows — the CSR5 load-balance story — and, when finishing, continues
+  each row that crosses a tile boundary ("dirty rows") in order.
 
-Row chunking (``chunk_elements``) bounds every ``(entries, k)``
-intermediate.  Units write disjoint rows, so no locking is needed, and
-NumPy releases the GIL inside its kernels, so threads genuinely overlap.
+Each row of C is summed left to right from ``0.0``, so every plan of a
+matrix gives the same bits.  Units write disjoint rows, so no locking is
+needed, and NumPy releases the GIL inside its kernels.
 """
 
 from __future__ import annotations
@@ -54,11 +54,11 @@ from ..formats.ell import ELL
 from ..formats.sell import SELL
 from .common import (
     DEFAULT_CHUNK_ELEMENTS,
+    THIN_ELEMENTS,
     balanced_partitions,
+    expand,
     iter_row_chunks,
-    plan_stream_segments,
-    run_stream_segments,
-    segment_sum,
+    slot_layout,
 )
 
 __all__ = [
@@ -102,23 +102,94 @@ def _row_ranges(work_ptr: np.ndarray, parts: int) -> list[tuple[int, int]]:
     return [rng for rng in balanced_partitions(work_ptr, parts) if rng[0] < rng[1]]
 
 
-def _stream_units(indptr, indices, values, k, ranges, chunk_elements) -> list[Callable]:
-    values_col = np.ascontiguousarray(values)[:, None]
-    return [
-        partial(
-            run_stream_segments,
-            plan_stream_segments(indptr, indices, values_col, k, rng, chunk_elements),
-        )
-        for rng in ranges
-    ]
+def _layout(indptr, indices, values, rows=None) -> tuple:
+    """:func:`slot_layout` with the C row (``rows[i]``, else ``i``) of each
+    sorted row, and the indices and values slot-major."""
+    order, ptr, offsets, perm = slot_layout(indptr)
+    rows = order if rows is None else rows[order]
+    return rows, ptr, offsets, indices.take(perm), values.take(perm, axis=0)
+
+
+def _slot_major(A) -> tuple:
+    """:func:`_layout` of a stream or BCSR matrix, built once per matrix
+    object — format arrays are immutable once built — so every plan over it
+    shares one slot-major copy."""
+    layout = getattr(A, "_slot_major", None)
+    if layout is None:
+        if isinstance(A, BCSR):  # block positions, so plans read the blocks in place
+            args = A.indptr, A.block_cols, np.arange(A.blocks.shape[0])
+        elif isinstance(A, SELL):
+            # Padded rows (the real work), written back through the permutation.
+            args = A.padded_indptr(), A.indices, A.values, A.permutation
+        elif isinstance(A, COO):
+            args = A.row_segments(), A.cols, A.values
+        else:
+            args = A.indptr, A.indices, A.values
+        layout = A._slot_major = _layout(*args)
+    return layout
+
+
+def _units(layout, parts, width, budget, row_elements, fragment) -> list[list]:
+    """Split a layout's sorted rows into ``parts`` ranges of near-equal
+    work, each chunked so ``entries x width`` stays under ``budget``, and
+    build each chunk with ``fragment(rows, starts, counts, cut)``: its C
+    rows, where its part of each slot starts and how many rows that part
+    has, and its first thin slot — the first whose rows hold at most
+    :data:`THIN_ELEMENTS` outputs (``row_elements`` each)."""
+    rows, ptr, offsets = layout[:3]
+    units = []
+    for r0, r1 in _row_ranges(ptr, parts):
+        fragments = []
+        for c0, c1 in iter_row_chunks(ptr[r0 : r1 + 1], width, budget):
+            a, b = r0 + c0, r0 + c1
+            nslots = int(ptr[a + 1] - ptr[a])  # sorted row a is the longest
+            counts = np.minimum(np.diff(offsets[: nslots + 1]) - a, b - a)
+            thin = np.flatnonzero(counts * row_elements <= THIN_ELEMENTS)
+            cut = int(thin[0]) if thin.size else nslots
+            fragments.append(fragment(rows[a:b], offsets[:nslots] + a, counts, cut))
+        units.append(fragments)
+    return units
+
+
+def _split(values: np.ndarray, starts, counts, cut: int) -> tuple[list, np.ndarray]:
+    """Views of ``values`` for the wide slots' pieces, and the thin slots'
+    pieces gathered contiguous (a view when they are adjacent)."""
+    wide = [values[s : s + m] for s, m in zip(starts[:cut].tolist(), counts[:cut].tolist())]
+    s, m = starts[cut:], counts[cut:]
+    n = int(m.sum())
+    if n and s[-1] + m[-1] - s[0] == n:
+        return wide, values[s[0] : s[0] + n]
+    return wide, values.take(expand(s, m), axis=0)
+
+
+def _stream_fragment(layout, rows, starts, counts, cut) -> tuple:
+    (idx, thin_idx), (val, thin_val) = (_split(a, starts, counts, cut) for a in layout[3:])
+    thin = (counts[cut:].tolist(), thin_idx, thin_val) if cut < counts.size else None
+    return rows, (idx, val), thin
 
 
 def _slot_unit(fragments, B: np.ndarray, C: np.ndarray) -> None:
-    """The ELL slot loop over slot-major ``(row0, nrows, indices, values)``
-    fragments: row ``j`` of a fragment's arrays is slot ``j``."""
-    for r0, n, idx, val in fragments:
-        for j in range(idx.shape[0]):
-            C[r0 : r0 + n] += val[j, :, None] * B[idx[j]]
+    """The slot loop, the one accumulation of the stream, ELL and BELL kernels.
+
+    A fragment is ``(rows, (indices, values), thin)``: slot ``j`` adds
+    ``values[j] * B[indices[j]]`` into the first ``len(indices[j])`` rows;
+    ``thin``, if any, holds the later slots' ``(widths, indices, values)``
+    slot-major, their products formed at once.  ``rows`` is a slice of C
+    (ELL, BELL: summed in place) or the C rows of a sorted buffer.
+    """
+    for rows, (indices, values), thin in fragments:
+        in_place = isinstance(rows, slice)
+        out = C[rows] if in_place else np.zeros((rows.size, B.shape[1]), dtype=C.dtype)
+        for idx, val in zip(indices, values):
+            out[: idx.shape[0]] += val[:, None] * B[idx]
+        if thin is not None:
+            widths, idx, val = thin
+            products = val[:, None] * B[idx]
+            for m in widths:
+                out[:m] += products[:m]
+                products = products[m:]
+        if not in_place:
+            C[rows] = out
 
 
 def _bell_fragments(A: BELL, r0: int, r1: int) -> list[tuple]:
@@ -133,42 +204,49 @@ def _bell_fragments(A: BELL, r0: int, r1: int) -> list[tuple]:
         base = int(A.slice_ptr[s]) + offset * width
         idx = A.indices[base : base + n * width].reshape(n, width)
         val = A.values[base : base + n * width].reshape(n, width)
-        fragments.append((row, n, idx.T, val.T))
+        fragments.append((slice(row, row + n), (idx.T, val.T), None))
         row += n
     return fragments
 
 
-def _bcsr_unit(chunks, br: int, bc: int, B: np.ndarray, C: np.ndarray) -> None:
-    """Dense tiles times gathered B panels, segment-summed per block row."""
+def _bcsr_unit(blocks, br: int, bc: int, fragments, B: np.ndarray, C: np.ndarray) -> None:
+    """The slot loop over block rows, in the paper's block-loop order: per
+    fragment one gather of the B panel rows its blocks name (the
+    intermediate ``chunk_elements`` bounds), then for each slot and block
+    column ``c``, ``blocks[:, :, c] x panel[:, c]`` into the sorted buffer.
+    Blocks are read through their slot-major positions, not copied."""
     kk = B.shape[1]
-    for r0, r1, blocks, flat_cols, local_ptr in chunks:
-        nb = blocks.shape[0]
-        panels = B[flat_cols].reshape(nb, bc, kk)
-        prods = np.einsum("nrc,nck->nrk", blocks, panels)
-        out = C[r0 * br : r1 * br].reshape(r1 - r0, br * kk)  # a view: C is contiguous
-        segment_sum(prods.reshape(nb, br * kk), local_ptr, out=out)
+    C3 = C.reshape(-1, br, kk)  # a view: C is contiguous
+    for rows, counts, cols, wide, thin in fragments:
+        panel = B[(cols[:, None] * bc + np.arange(bc)).reshape(-1)].reshape(-1, bc, 1, kk)
+        out = np.zeros((rows.size, br, kk), dtype=C.dtype)
+        a = 0
+        for pos in wide:
+            m, blk = pos.shape[0], blocks.take(pos, axis=0)
+            for c in range(bc):
+                out[:m] += blk[:, :, c, None] * panel[a : a + m, c]
+            a += m
+        products = blocks.take(thin, axis=0).transpose(0, 2, 1)[..., None] * panel[a:]
+        for m in counts[len(wide) :]:
+            for c in range(bc):
+                out[:m] += products[:m, c]
+            products = products[m:]
+        C3[rows] = out
+
+
+def _bcsr_fragment(layout, rows, starts, counts, cut) -> tuple:
+    cols = _split(layout[3], starts, counts, 0)[1]  # every piece, contiguous
+    return rows, counts.tolist(), cols, *_split(layout[4], starts, counts, cut)
 
 
 def _plan_bcsr(A: BCSR, k: int, parts: int, chunk_elements: int) -> SpmmPlan:
     br, bc = A.block_shape
-    units = []
-    for br0, br1 in _row_ranges(A.indptr, parts):
-        sub = A.indptr[br0 : br1 + 1]
-        chunks = []
-        # Chunk block rows so the (blocks, bc, k) panel gather stays under
-        # the budget; a block row is never split.
-        for c0, c1 in iter_row_chunks(sub - sub[0], bc * k, chunk_elements):
-            b0, b1 = int(sub[c0]), int(sub[c1])
-            if b0 == b1:
-                continue
-            cols = A.block_cols[b0:b1].astype(np.int64)
-            flat_cols = (cols[:, None] * bc + np.arange(bc)[None, :]).reshape(-1)
-            local_ptr = sub[c0 : c1 + 1] - b0
-            chunks.append((br0 + c0, br0 + c1, A.blocks[b0:b1], flat_cols, local_ptr))
-        units.append(partial(_bcsr_unit, chunks, br, bc))
+    layout = _slot_major(A)
+    # Chunks bound the panel gather; a block row is never split.
+    units = _units(layout, parts, bc * k, chunk_elements, br * k, partial(_bcsr_fragment, layout))
     nrows = A.nrows
     return SpmmPlan(
-        units,
+        [partial(_bcsr_unit, A.blocks, br, bc, u) for u in units],
         A.nblockrows * br,
         A.policy.value,
         finish=lambda C, _: C[:nrows],
@@ -176,19 +254,26 @@ def _plan_bcsr(A: BCSR, k: int, parts: int, chunk_elements: int) -> SpmmPlan:
     )
 
 
-def _csr5_tile_unit(r_first, r_last, vals, idx, local_ptr, B, C):
-    return r_first, r_last, segment_sum(vals * B[idx], local_ptr)
+def _csr5_tile_unit(r_first, r_last, head_idx, head_val, fragments, B, C):
+    local = np.zeros((r_last - r_first + 1, B.shape[1]), dtype=C.dtype)
+    _slot_unit(fragments, B, local)
+    return r_first, r_last, local, head_val[:, None] * B[head_idx]
 
 
 def _merge_dirty_rows(C: np.ndarray, partials: list) -> np.ndarray:
-    for r_first, r_last, local in partials:
+    """Add each tile range's rows in order.  A row begun in an earlier range
+    (a "dirty row") goes on with this range's products one at a time, so
+    every row keeps the serial left-to-right sum."""
+    for r_first, r_last, local, head in partials:
+        row = C[r_first]
+        for product in head:
+            row += product
         C[r_first : r_last + 1] += local
     return C
 
 
-def _plan_csr5_tiles(A: CSR5, parts: int) -> SpmmPlan:
-    """Contiguous equal-nnz tile ranges; a row spanning two ranges gets a
-    partial sum from each, merged once on the calling thread."""
+def _plan_csr5_tiles(A: CSR5, k: int, parts: int, chunk_elements: int) -> SpmmPlan:
+    """Contiguous equal-nnz tile ranges, merged on the calling thread."""
     parts = min(parts, A.ntiles)
     bounds = np.linspace(0, A.ntiles, parts + 1, dtype=np.int64)
     units = []
@@ -196,17 +281,12 @@ def _plan_csr5_tiles(A: CSR5, parts: int) -> SpmmPlan:
         e0, e1 = int(A.tile_ptr[t0]), int(A.tile_ptr[t1])
         r_first = int(A.tile_first_row[t0])
         r_last = int(A.tile_last_row[t1 - 1])
-        local_ptr = np.clip(A.indptr[r_first : r_last + 2] - e0, 0, e1 - e0)
-        units.append(
-            partial(
-                _csr5_tile_unit,
-                r_first,
-                r_last,
-                A.values[e0:e1, None],
-                A.indices[e0:e1],
-                local_ptr,
-            )
-        )
+        # A leading row begun before e0 is left to the merge.
+        head = min(int(A.indptr[r_first + 1]), e1) if A.indptr[r_first] < e0 else e0
+        layout = _layout(np.clip(A.indptr[r_first : r_last + 2], head, e1), A.indices, A.values)
+        fragments = _units(layout, 1, k, chunk_elements, k, partial(_stream_fragment, layout))
+        head_entries = A.indices[e0:head], A.values[e0:head]
+        units.append(partial(_csr5_tile_unit, r_first, r_last, *head_entries, sum(fragments, [])))
     return SpmmPlan(units, A.nrows, A.policy.value, finish=_merge_dirty_rows)
 
 
@@ -230,30 +310,11 @@ def plan_spmm(
     if parts < 1:
         raise KernelError(f"parts must be >= 1, got {parts}")
     if isinstance(A, CSR5) and tiled:
-        return _plan_csr5_tiles(A, parts)
-    if isinstance(A, COO):
-        indptr = A.row_segments()
-        ranges = _row_ranges(indptr, parts)
-        units = _stream_units(indptr, A.cols, A.values, k, ranges, chunk_elements)
-        return SpmmPlan(units, A.nrows, A.policy.value)
-    if isinstance(A, (CSR, CSR5)):
-        ranges = _row_ranges(A.indptr, parts)
-        units = _stream_units(A.indptr, A.indices, A.values, k, ranges, chunk_elements)
-        return SpmmPlan(units, A.nrows, A.policy.value)
-    if isinstance(A, SELL):
-        # Workers own sorted-row ranges weighted by stored (padded) entries,
-        # the real work; the sorted-order buffer scatters back at the end.
-        indptr = A.padded_indptr()
-        ranges = _row_ranges(indptr, parts)
-        units = _stream_units(indptr, A.indices, A.values, k, ranges, chunk_elements)
-        perm = A.permutation
-
-        def scatter(Cp: np.ndarray, _partials) -> np.ndarray:
-            C = np.empty_like(Cp)
-            C[perm] = Cp
-            return C
-
-        return SpmmPlan(units, A.nrows, A.policy.value, finish=scatter)
+        return _plan_csr5_tiles(A, k, parts, chunk_elements)
+    if isinstance(A, (COO, CSR, CSR5, SELL)):
+        layout = _slot_major(A)
+        units = _units(layout, parts, k, chunk_elements, k, partial(_stream_fragment, layout))
+        return SpmmPlan([partial(_slot_unit, u) for u in units], A.nrows, A.policy.value)
     if isinstance(A, ELL):
         # Every row has identical work (the width), so split row counts.  A
         # one-unit plan hoists contiguous slot columns (the Study 9 hoisted
@@ -264,7 +325,7 @@ def plan_spmm(
             idx, val = A.indices[r0:r1].T, A.values[r0:r1].T
             if parts == 1:
                 idx, val = np.ascontiguousarray(idx), np.ascontiguousarray(val)
-            units.append(partial(_slot_unit, [(r0, r1 - r0, idx, val)]))
+            units.append(partial(_slot_unit, [(slice(r0, r1), (idx, val), None)]))
         return SpmmPlan(units, A.nrows, A.policy.value)
     if isinstance(A, BELL):
         work_ptr = np.zeros(A.nrows + 1, dtype=np.int64)
@@ -284,28 +345,18 @@ def row_groups(A) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Nonempty rows of a COO/CSR/CSR5 matrix grouped by nonzero count.
 
     Each group is ``(row_ids, index_matrix, value_matrix)``: every row in a
-    group has the same length, so its entries form a dense rectangle.
-    Fully vectorized (no per-row Python loop).
+    group has the same length, so its entries form a dense rectangle, read
+    from the slot-major layout.  Fully vectorized (no per-row Python loop).
     """
-    if isinstance(A, (CSR, CSR5)):
-        indptr, indices, values = A.indptr, A.indices, A.values
-    elif isinstance(A, COO):
-        indptr, indices, values = A.row_segments(), A.cols, A.values
-    else:
+    if not isinstance(A, (COO, CSR, CSR5)):
         raise KernelError(f"grouped SpMM supports COO/CSR/CSR5 inputs, not {type(A).__name__}")
-    counts = np.diff(indptr)
-    order = np.argsort(counts, kind="stable")
-    uniq, group_starts = np.unique(counts[order], return_index=True)
-    bounds = np.append(group_starts, order.size)
+    rows, ptr, offsets, indices, values = _slot_major(A)
+    lengths = np.diff(ptr)
+    bounds = np.flatnonzero(np.diff(lengths, prepend=-1, append=-1)).tolist()
     groups = []
-    for gi, length in enumerate(uniq):
-        if length == 0:
-            continue
-        rows_g = order[bounds[gi] : bounds[gi + 1]]
-        pos = indptr[rows_g][:, None] + np.arange(length)[None, :]
-        groups.append(
-            (rows_g, np.ascontiguousarray(indices[pos]), np.ascontiguousarray(values[pos]))
-        )
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        pos = offsets[: lengths[a]] + np.arange(a, b)[:, None]  # row i, entry j
+        groups.append((rows[a:b], indices[pos], values[pos]))
     return groups
 
 

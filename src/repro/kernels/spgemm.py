@@ -8,10 +8,12 @@ format family (CSR-like) — and implements Gustavson's row-merge algorithm:
 
     C[i, :] = sum over j in A[i, :] of A[i, j] * B[j, :]
 
-with a dense accumulator per output row (scatter-add, harvest, reset).
-Accepts any registered format (converted to CSR arrays internally) and
-returns Triplets, so the result can be formatted into anything — including
-back into the benchmark suite for an SpMM on the product.
+on the slot loop the SpMM kernels share, as a kernel in its own right (the
+LOHP-SpGEMM view): each output is ``0.0`` plus its products in A-row entry
+order, with exact cancellations dropped.  Accepts any registered format
+(converted to CSR arrays internally) and returns Triplets, so the result
+can be formatted into anything — including back into the benchmark suite
+for an SpMM on the product.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from ..formats.coo import COO
 from ..formats.csr import CSR
 from ..formats.csr5 import CSR5
 from ..matrices.coo_builder import Triplets
+from .common import expand, slot_layout
 
 __all__ = ["spgemm", "spgemm_flops"]
 
@@ -41,24 +44,27 @@ def _csr_arrays(M: SparseFormat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return csr.indptr, csr.indices, csr.values
 
 
+#: Dense accumulator elements per tile of A rows, but never fewer than
+#: ``MIN_TILE_ROWS`` rows, however wide B is.
+TILE_ELEMENTS, MIN_TILE_ROWS = 1 << 14, 16
+
+
 def spgemm_flops(A: SparseFormat, B: SparseFormat) -> int:
     """Multiply-add count of Gustavson's algorithm: sum over entries
     A[i,j] of nnz(B[j, :]) — the standard SpGEMM work metric."""
     if A.ncols != B.nrows:
         raise ShapeError(f"inner dimensions differ: {A.ncols} vs {B.nrows}")
-    _, a_cols, _ = _csr_arrays(A)
-    b_ptr, _, _ = _csr_arrays(B)
-    b_row_nnz = np.diff(b_ptr)
-    return int(2 * b_row_nnz[np.asarray(a_cols, dtype=np.int64)].sum())
+    return int(2 * np.diff(_csr_arrays(B)[0])[_csr_arrays(A)[1]].sum())
 
 
 def spgemm(A: SparseFormat, B: SparseFormat, *, tracer=None) -> Triplets:
     """C = A @ B for two sparse operands; returns row-sorted Triplets.
 
-    Gustavson row merge with one dense accumulator recycled across rows:
-    for each row i of A, scatter-add A[i, j] * B[j, :] into the
-    accumulator, then harvest the touched columns.  Memory is
-    O(ncols + output), independent of the multiply's intermediate size.
+    Rows of A go in tiles with one dense ``rows x ncols`` accumulator.  A
+    tile's entries expand, slot-major, into (target, product) pairs; slot
+    ``j`` scatter-adds its pairs (targets are unique within a slot), and the
+    tile harvests its nonzeros in row-major order.  Memory is the
+    accumulator and one tile's expansion, plus the output.
 
     A ``tracer`` records the SpGEMM-specific counters: ``spgemm_flops``
     (the Gustavson multiply-add work), ``spgemm_output_nnz``, and
@@ -69,54 +75,40 @@ def spgemm(A: SparseFormat, B: SparseFormat, *, tracer=None) -> Triplets:
         raise ShapeError(f"inner dimensions differ: {A.ncols} vs {B.nrows}")
     a_ptr, a_cols, a_vals = _csr_arrays(A)
     b_ptr, b_cols, b_vals = _csr_arrays(B)
-    a_cols = np.asarray(a_cols, dtype=np.int64)
-    b_cols = np.asarray(b_cols, dtype=np.int64)
-
-    ncols = B.ncols
-    accumulator = np.zeros(ncols, dtype=np.float64)
-    touched = np.zeros(ncols, dtype=bool)
-
-    out_rows: list[np.ndarray] = []
-    out_cols: list[np.ndarray] = []
-    out_vals: list[np.ndarray] = []
-    for i in range(A.nrows):
-        e0, e1 = int(a_ptr[i]), int(a_ptr[i + 1])
-        if e0 == e1:
+    b_len, ncols = np.diff(b_ptr), B.ncols
+    tile_rows = max(MIN_TILE_ROWS, TILE_ELEMENTS // max(ncols, 1))
+    acc = np.zeros(tile_rows * ncols, dtype=np.float64)
+    keys, vals = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.float64)]
+    for r0 in range(0, A.nrows, tile_rows):
+        ptr = a_ptr[r0 : r0 + tile_rows + 1]
+        _, _, offsets, ent = slot_layout(ptr)
+        cols = a_cols[ent]
+        lengths = b_len[cols]
+        if not lengths.sum():
             continue
-        for e in range(e0, e1):
-            j = int(a_cols[e])
-            f0, f1 = int(b_ptr[j]), int(b_ptr[j + 1])
-            if f0 == f1:
-                continue
-            cols_j = b_cols[f0:f1]
-            accumulator[cols_j] += a_vals[e] * b_vals[f0:f1]
-            touched[cols_j] = True
-        cols_touched = np.nonzero(touched)[0]
-        if cols_touched.size:
-            vals_i = accumulator[cols_touched].copy()
-            keep = vals_i != 0.0  # numerical cancellation drops entries
-            cols_i = cols_touched[keep]
-            if cols_i.size:
-                out_rows.append(np.full(cols_i.size, i, dtype=np.int64))
-                out_cols.append(cols_i)
-                out_vals.append(vals_i[keep])
-            accumulator[cols_touched] = 0.0
-            touched[cols_touched] = False
-
-    if out_rows:
-        rows = np.concatenate(out_rows)
-        cols = np.concatenate(out_cols)
-        vals = np.concatenate(out_vals)
-    else:
-        rows = np.empty(0, dtype=np.int64)
-        cols = np.empty(0, dtype=np.int64)
-        vals = np.empty(0, dtype=np.float64)
+        src = expand(b_ptr[cols], lengths)
+        row = np.searchsorted(ptr, ent, side="right") - 1
+        targets = np.repeat(row * ncols, lengths) + b_cols[src]
+        products = np.repeat(a_vals[ent], lengths) * b_vals[src]
+        bounds = np.concatenate([[0], np.cumsum(lengths)])[offsets].tolist()
+        for f0, f1 in zip(bounds[:-1], bounds[1:]):
+            acc[targets[f0:f1]] += products[f0:f1]
+        if targets.size >= acc.size:  # dense tile: scan it
+            pos = np.flatnonzero(acc)
+        else:  # sparse tile: look only where products landed
+            pos = np.unique(targets)
+            pos = pos[acc[pos] != 0.0]  # numerical cancellation drops entries
+        keys.append(r0 * ncols + pos)
+        vals.append(acc[pos])
+        acc[pos] = 0.0
+    keys, vals = np.concatenate(keys), np.concatenate(vals)
     if tracer is not None:
-        flops = spgemm_flops(A, B)
+        flops = int(2 * b_len[a_cols].sum())
         tracer.count("spgemm_flops", flops)
-        tracer.count("spgemm_output_nnz", rows.size)
+        tracer.count("spgemm_output_nnz", keys.size)
         if flops:
-            tracer.count("spgemm_compression", 2.0 * rows.size / flops)
+            tracer.count("spgemm_compression", 2.0 * keys.size / flops)
+    rows, cols = np.divmod(keys, max(ncols, 1))
     policy = A.policy
     return Triplets(
         nrows=A.nrows,

@@ -1,11 +1,39 @@
-"""Tests for the shared kernel machinery (segment sums, chunking,
-partitioning)."""
+"""Tests for the shared kernel machinery (the slot-major layout, segment
+sums through it, chunking, partitioning)."""
 
 import numpy as np
 import pytest
 
 from repro.errors import KernelError
-from repro.kernels.common import balanced_partitions, iter_row_chunks, segment_sum
+from repro.formats.csr import CSR
+from repro.kernels.common import (
+    THIN_ELEMENTS,
+    balanced_partitions,
+    expand,
+    iter_row_chunks,
+    slot_layout,
+)
+from repro.kernels.planner import _layout, _units, plan_spmm
+
+
+def segment_sum(flat, indptr, out=None):
+    """Sum the rows of ``flat`` over the segments under ``indptr`` with the
+    slot loop: a stream plan whose entry ``e`` names row ``e`` of ``flat``."""
+    nseg, n = indptr.size - 1, flat.shape[0]
+    A = CSR(nseg, max(n, 1), indptr, np.arange(n), np.ones(n))
+    if out is None:
+        out = np.zeros((nseg, flat.shape[1]))
+    for unit in plan_spmm(A, flat.shape[1]).units:
+        unit(flat, out)
+    return out
+
+
+def left_to_right(flat, indptr):
+    out = np.zeros((indptr.size - 1, flat.shape[1]))
+    for i in range(indptr.size - 1):
+        for e in range(indptr[i], indptr[i + 1]):
+            out[i] = out[i] + 1.0 * flat[e]
+    return out
 
 
 class TestSegmentSum:
@@ -49,8 +77,47 @@ class TestSegmentSum:
         cuts = np.sort(rng.integers(0, 51, size=9))
         indptr = np.concatenate([[0], cuts, [50]])
         out = segment_sum(flat, indptr)
-        for i in range(len(indptr) - 1):
-            assert np.allclose(out[i], flat[indptr[i] : indptr[i + 1]].sum(0))
+        assert out.tobytes() == left_to_right(flat, indptr).tobytes()
+
+
+def tuple_(*fragment):
+    return fragment
+
+
+class TestSlotLayout:
+    def test_rows_longest_first_and_slot_major(self):
+        indptr = np.array([0, 1, 4, 4, 6])  # lengths 1, 3, 0, 2
+        order, ptr, offsets, perm = slot_layout(indptr)
+        assert order.tolist() == [1, 3, 0] and ptr.tolist() == [0, 3, 5, 6]
+        assert offsets.tolist() == [0, 3, 5, 6]
+        # slot 0 of rows 1, 3, 0; slot 1 of rows 1, 3; slot 2 of row 1
+        assert perm.tolist() == [1, 4, 0, 2, 5, 3]
+
+    def test_offset_pointer_and_empty(self):
+        order, ptr, offsets, perm = slot_layout(np.array([7, 7, 7]))
+        assert order.size == 0 and ptr.tolist() == offsets.tolist() == [0] and perm.size == 0
+        assert slot_layout(np.array([5, 7]))[3].tolist() == [5, 6]  # entry numbers as given
+
+    def test_expand(self):
+        assert expand(np.array([5, 0, 9]), np.array([2, 0, 3])).tolist() == [5, 6, 9, 10, 11]
+        assert expand(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)).size == 0
+
+    def test_fragments_split_where_slots_turn_thin(self):
+        indptr = np.array([10, 12, 20, 22, 24, 26])  # lengths 2, 8, 2, 2, 2
+        layout = _layout(indptr, np.arange(26), np.arange(26.0))
+        assert layout[3].tolist() == [12, 10, 20, 22, 24, 13, 11, 21, 23, 25, *range(14, 20)]
+        for row_elements, cut in [(1, 0), (THIN_ELEMENTS // 5 + 1, 2), (THIN_ELEMENTS + 1, 8)]:
+            [[(rows, starts, counts, got)]] = _units(layout, 1, 1, 10**9, row_elements, tuple_)
+            assert rows.tolist() == [1, 0, 2, 3, 4] and got == cut
+            assert counts.tolist() == [5, 5, 1, 1, 1, 1, 1, 1]
+        # Two parts of near-equal work: the long row alone, then the rest.
+        (first,), (second,) = _units(layout, 2, 1, 10**9, 1, tuple_)
+        assert first[0].tolist() == [1] and first[2].tolist() == [1] * 8
+        assert second[0].tolist() == [0, 2, 3, 4] and second[2].tolist() == [4, 4]
+        assert second[1].tolist() == [1, 6]  # slot-major starts of its part of each slot
+        # Empty rows are not planned.
+        empty = _layout(np.array([4, 4, 4]), np.arange(4), np.ones(4))
+        assert _units(empty, 2, 1, 99, 1, tuple_) == []
 
 
 class TestRowChunks:

@@ -5,7 +5,6 @@ import pytest
 
 from repro.errors import KernelError
 from repro.formats.registry import format_names
-from repro.kernels.common import plan_stream_segments, run_stream_segments
 from repro.kernels.dispatch import serial_spmm
 from repro.kernels.planner import SpmmPlan, execute, plan_spmm
 from repro.verify.reference import reference_spmm
@@ -94,17 +93,21 @@ class TestChunking:
         assert np.array_equal(C1, C2)
 
     def test_row_range_restricts(self, small_triplets, rng):
+        """Each unit of a split plan writes only its own rows of C."""
         A = build_format("csr", small_triplets)
         B = rng.standard_normal((A.ncols, 5))
-        C = np.zeros((A.nrows, 5))
-        segments = plan_stream_segments(
-            A.indptr, A.indices, A.values[:, None], 5, row_range=(5, 12)
-        )
-        run_stream_segments(segments, B, C)
         ref = small_triplets.to_dense() @ B
-        assert np.allclose(C[5:12], ref[5:12])
-        assert np.allclose(C[:5], 0.0)
-        assert np.allclose(C[12:], 0.0)
+        plan = plan_spmm(A, 5, parts=3)
+        assert len(plan.units) == 3
+        written = np.zeros(A.nrows, dtype=int)
+        for unit in plan.units:
+            C = np.zeros((A.nrows, 5))
+            unit(B, C)
+            mine = np.any(C != 0.0, axis=1)
+            assert 0 < mine.sum() < A.nrows
+            assert np.allclose(C[mine], ref[mine])
+            written += mine
+        assert written.max() == 1
 
 
 class TestDtypes:

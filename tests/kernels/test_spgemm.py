@@ -109,3 +109,28 @@ class TestFlops:
         a, b = make_pair()
         with pytest.raises(ShapeError):
             spgemm_flops(build_format("csr", b), build_format("csr", b))
+
+    @pytest.mark.parametrize("fmt_a,fmt_b", [("bcsr", "ell"), ("sell", "csr"), ("csr", "bell")])
+    def test_traced_spgemm_converts_each_operand_once(self, monkeypatch, fmt_a, fmt_b):
+        """The traced flop count reuses the CSR arrays already in hand."""
+        import importlib
+
+        from repro.bench.observe import Tracer
+
+        convert_module = importlib.import_module("repro.formats.convert")
+
+        a, b = make_pair(19)
+        A, B = build_format(fmt_a, a), build_format(fmt_b, b)
+        calls = []
+        real = convert_module.convert
+
+        def counting_convert(M, *args, **kwargs):
+            calls.append(M)
+            return real(M, *args, **kwargs)
+
+        monkeypatch.setattr(convert_module, "convert", counting_convert)
+        tracer = Tracer()
+        C = spgemm(A, B, tracer=tracer)
+        assert len(calls) == sum(fmt not in ("csr", "coo", "csr5") for fmt in (fmt_a, fmt_b))
+        assert tracer.counters["spgemm_flops"] == spgemm_flops(A, B)
+        assert tracer.counters["spgemm_output_nnz"] == C.nnz
