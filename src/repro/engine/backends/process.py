@@ -131,7 +131,6 @@ class _WorkerState:
             policy=spec["policy"],
             format_params=spec.get("fmt_params"),
             tracer=tracer,
-            fingerprint=spec["fingerprint"],
         )
         plan_time = time.perf_counter() - t_plan
 

@@ -47,7 +47,6 @@ from ..kernels.dispatch import run_spmm
 from ..kernels.plan import (
     PlanCache,
     fingerprint_triplets,
-    matrix_fingerprint,
     params_token,
     plan_supported,
 )
@@ -125,11 +124,6 @@ class Engine:
         see :mod:`repro.engine.migration` and ``migration_*`` counters.
     """
 
-    #: Cap on the id()-keyed fingerprint memo.  Batch workloads reuse a few
-    #: matrix objects; a serving workload streams one-shot matrices through,
-    #: and without a cap the memo would pin every one of them in memory.
-    FP_MEMO_CAPACITY = 1024
-
     def __init__(
         self,
         *,
@@ -190,17 +184,14 @@ class Engine:
         self._shm_matrices: dict[str, tuple[dict, list[SharedArray]]] = {}
         #: Memos shared across requests: suite-name -> triplets, fingerprint
         #: -> triplets (for SparseFormat inputs), (fingerprint, k) -> auto
-        #: resolution, and the per-plan-key build locks.
+        #: resolution, and the per-plan-key build locks.  Fingerprints
+        #: themselves live on the triplets (:attr:`Triplets.fingerprint`).
         self._matrix_memo: dict = {}
         self._auto_memo: dict[tuple[str, int], tuple[str, dict, int]] = {}
         self._auto_fmt_memo: dict[tuple[str, int], tuple[str, dict, int]] = {}
         self._plan_locks: dict[tuple, threading.Lock] = {}
         self._built_keys: set[tuple] = set()
         self._format_memo: dict[tuple, SparseFormat] = {}
-        #: id(triplets) -> (triplets, fingerprint).  Holding the object
-        #: keeps the id stable; the engine assumes matrices are not mutated
-        #: mid-batch (the serving contract), so one sha256 per matrix.
-        self._fp_memo: dict[int, tuple[Triplets, str]] = {}
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -324,11 +315,10 @@ class Engine:
         queue_wait = started - submitted_at
         self.tracer.count("engine_queue_wait_s", queue_wait)
         try:
-            triplets, name = self._resolve_matrix(request)
+            triplets, fingerprint, name = self._resolve_matrix(request)
             variant, tuned_opts = self._resolve_variant(request, triplets)
             fmt, fmt_params = self._resolve_format(request, triplets)
             threads = int(tuned_opts.get("threads", request.threads))
-            fingerprint = self._fingerprint(triplets)
             # Online migration: a group whose redirect landed executes on
             # the migrated (format, variant, threads, params) cell from
             # here on; requests resolved before the swap keep their plan.
@@ -364,7 +354,6 @@ class Engine:
                 )
                 self._migrations.observe(
                     triplets,
-                    fingerprint,
                     fmt,
                     variant,
                     request.k,
@@ -447,14 +436,13 @@ class Engine:
         migration probe populated), so the swap propagates across
         processes without shipping plan objects.
         """
-        fingerprint = self._fingerprint(triplets)
-        descriptor = self._shared_matrix(fingerprint, triplets)
+        descriptor = self._shared_matrix(triplets)
         B_seg = SharedArray.from_array(B, tracer=self.tracer)
         C_seg = SharedArray.empty(
             (triplets.nrows, B.shape[1]), self.policy.value, tracer=self.tracer
         )
         spec = {
-            "fingerprint": fingerprint,
+            "fingerprint": triplets.fingerprint,
             "matrix": descriptor,
             "fmt": fmt,
             "fmt_params": dict(fmt_params or {}),
@@ -501,8 +489,9 @@ class Engine:
         self.tracer.count("engine_repeats", request.repeats)
         return output, timing, provenance, plan_time, execute_s, reply["verified"]
 
-    def _shared_matrix(self, fingerprint: str, triplets: Triplets) -> dict:
+    def _shared_matrix(self, triplets: Triplets) -> dict:
         """Publish a matrix's triplet arrays to shm, once per fingerprint."""
+        fingerprint = triplets.fingerprint
         with self._lock:
             hit = self._shm_matrices.get(fingerprint)
         if hit is not None:
@@ -533,46 +522,38 @@ class Engine:
 
     # -- matrix / variant resolution ------------------------------------------
 
-    def _fingerprint(self, triplets: Triplets) -> str:
-        """Content fingerprint, hashed once per matrix object per engine."""
-        key = id(triplets)
-        with self._lock:
-            hit = self._fp_memo.get(key)
-            if hit is not None:
-                # Refresh recency so long-lived hot matrices survive the cap.
-                self._fp_memo.pop(key)
-                self._fp_memo[key] = hit
-                return hit[1]
-        fp = fingerprint_triplets(triplets)
-        with self._lock:
-            self._fp_memo[key] = (triplets, fp)
-            while len(self._fp_memo) > self.FP_MEMO_CAPACITY:
-                self._fp_memo.pop(next(iter(self._fp_memo)))
-        return fp
+    def _resolve_matrix(self, request: SpmmRequest) -> tuple[Triplets, str, str]:
+        """Triplets, content fingerprint and display name for a request's matrix.
 
-    def _resolve_matrix(self, request: SpmmRequest) -> tuple[Triplets, str]:
-        """Triplets + display name for a request's matrix, memoized."""
+        This is where a matrix enters the engine, and the only place that
+        calls :func:`fingerprint_triplets`: per inline :class:`Triplets`,
+        per :class:`SparseFormat`, and per suite matrix on its memo miss.
+        The digest is hashed once per triplets object and read from it
+        afterwards.
+        """
         matrix = request.matrix
         if isinstance(matrix, Triplets):
-            return matrix, "matrix"
+            return matrix, fingerprint_triplets(matrix), "matrix"
         if isinstance(matrix, str):
             key = ("suite", matrix, request.scale, self.policy.name)
             with self._lock:
                 hit = self._matrix_memo.get(key)
             if hit is None:
-                hit = load_matrix(matrix, scale=request.scale, policy=self.policy)
+                triplets = load_matrix(matrix, scale=request.scale, policy=self.policy)
+                hit = (triplets, fingerprint_triplets(triplets))
                 with self._lock:
                     self._matrix_memo[key] = hit
-            return hit, matrix
+            return *hit, matrix
         if isinstance(matrix, SparseFormat):
-            key = ("fp", matrix_fingerprint(matrix))
+            key = ("fp", matrix.fingerprint)
             with self._lock:
                 hit = self._matrix_memo.get(key)
             if hit is None:
-                hit = matrix.to_triplets()
+                triplets = matrix.to_triplets()
+                hit = (triplets, fingerprint_triplets(triplets))
                 with self._lock:
                     self._matrix_memo[key] = hit
-            return hit, getattr(matrix, "_suite_name", "matrix")
+            return *hit, getattr(matrix, "_suite_name", "matrix")
         raise EngineError(
             "request.matrix must be a suite name, Triplets, or SparseFormat; "
             f"got {type(matrix).__name__}"
@@ -593,7 +574,7 @@ class Engine:
             return request.variant, {}
         store = self.tune_store if self.tune_store is not None else get_active_store()
         version = store.version
-        memo_key = (self._fingerprint(triplets), request.k)
+        memo_key = (triplets.fingerprint, request.k)
         with self._lock:
             hit = self._auto_memo.get(memo_key)
         if hit is not None:
@@ -622,7 +603,7 @@ class Engine:
             return request.fmt, request.format_kwargs
         store = self.tune_store if self.tune_store is not None else get_active_store()
         version = store.version
-        memo_key = (self._fingerprint(triplets), request.k)
+        memo_key = (triplets.fingerprint, request.k)
         with self._lock:
             hit = self._auto_fmt_memo.get(memo_key)
         if hit is not None:
@@ -658,14 +639,13 @@ class Engine:
         """
         if self._migrations is None:
             raise EngineError("migration is disabled for this engine")
-        triplets, _name = self._resolve_matrix(request)
+        triplets, _fingerprint, _name = self._resolve_matrix(request)
         variant, tuned_opts = self._resolve_variant(request, triplets)
         fmt, fmt_params = self._resolve_format(request, triplets)
         if not plan_supported(variant):
             raise EngineError(f"variant {request.variant!r} is not migratable")
         return self._migrations.migrate_now(
             triplets,
-            self._fingerprint(triplets),
             fmt,
             variant,
             request.k,
@@ -700,7 +680,7 @@ class Engine:
         two groups that never share a plan.  Unplannable variants (GPU) at
         least share the conversion artifact through an engine-local memo.
         """
-        fingerprint = self._fingerprint(triplets)
+        fingerprint = triplets.fingerprint
         if plan_supported(variant):
             key = (
                 fingerprint,
@@ -723,7 +703,6 @@ class Engine:
                     policy=self.policy,
                     format_params=fmt_params,
                     tracer=self.tracer,
-                    fingerprint=fingerprint,
                 )
                 with self._lock:
                     if provenance == "built":

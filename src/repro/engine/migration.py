@@ -233,7 +233,6 @@ class MigrationManager:
     def observe(
         self,
         triplets: Triplets,
-        fingerprint: str,
         fmt: str,
         variant: str,
         k: int,
@@ -249,9 +248,9 @@ class MigrationManager:
         queue once it has ``min_hits`` requests and has spent more kernel
         time than one conversion costs.
         """
-        self.store.observe(fingerprint, k, seconds)
+        self.store.observe(triplets.fingerprint, k, seconds)
         key = PlanCache.migration_key(
-            fingerprint, fmt, variant, k, threads, self.dtype_policy.name,
+            triplets.fingerprint, fmt, variant, k, threads, self.dtype_policy.name,
             format_params=fmt_params,
         )
         with self._lock:
@@ -306,7 +305,6 @@ class MigrationManager:
     def migrate_now(
         self,
         triplets: Triplets,
-        fingerprint: str,
         fmt: str,
         variant: str,
         k: int,
@@ -321,7 +319,7 @@ class MigrationManager:
         do not cover the conversion — but never the bit-identity gate.
         """
         key = PlanCache.migration_key(
-            fingerprint, fmt, variant, k, threads, self.dtype_policy.name,
+            triplets.fingerprint, fmt, variant, k, threads, self.dtype_policy.name,
             format_params=fmt_params,
         )
         with self._lock:
@@ -336,7 +334,7 @@ class MigrationManager:
         return self._probe_and_swap(key, force=force)
 
     def _probe_and_swap(self, key: tuple, force: bool) -> MigrationOutcome:
-        fingerprint, fmt, variant, k, threads, _policy_name, _params_tok = key
+        _fingerprint, fmt, variant, k, threads, _policy_name, _params_tok = key
         with self._lock:
             state = self._states.get(key)
         if state is None or self.plan_cache.resolve_migration(key) is not None:
@@ -349,7 +347,6 @@ class MigrationManager:
         current, _ = self.plan_cache.get_or_build_plan(
             triplets, fmt, variant=variant, k=k, threads=threads,
             policy=self.dtype_policy, format_params=fmt_params,
-            fingerprint=fingerprint,
         )
         reference = current(B)
         current_s = self._time_plan(current, B)
@@ -362,7 +359,7 @@ class MigrationManager:
                 plan, provenance = self.plan_cache.get_or_build_plan(
                     triplets, cand_fmt, variant=cand_variant, k=k,
                     threads=cand_threads, policy=self.dtype_policy,
-                    format_params=dict(cand_params), fingerprint=fingerprint,
+                    format_params=dict(cand_params),
                 )
             except Exception:
                 self.tracer.count("migration_failed")
@@ -397,7 +394,7 @@ class MigrationManager:
             threads=best.threads,
             format_params=dict(best.format_params),
         )
-        self._record_decision(fingerprint, k, best, triplets)
+        self._record_decision(k, best, triplets)
         with self._lock:
             state.status = "migrated"
         self.tracer.count("migration_completed")
@@ -486,7 +483,7 @@ class MigrationManager:
         return bool(np.allclose(reference, output, rtol=self.policy.rtol, atol=0.0))
 
     def _record_decision(
-        self, fingerprint: str, k: int, best: _Candidate, triplets: Triplets
+        self, k: int, best: _Candidate, triplets: Triplets
     ) -> None:
         """Publish the winner to the tune store (bumps the store version).
 
@@ -500,7 +497,7 @@ class MigrationManager:
         try:
             store.record(
                 TuneDecision(
-                    fingerprint=fingerprint,
+                    fingerprint=triplets.fingerprint,
                     matrix=getattr(triplets, "_suite_name", "matrix"),
                     format_name=best.format_name,
                     variant=best.variant,

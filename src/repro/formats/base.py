@@ -22,6 +22,7 @@ Subclasses register themselves by name via
 from __future__ import annotations
 
 import abc
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -69,6 +70,15 @@ class SparseFormat(abc.ABC):
     @abc.abstractmethod
     def to_triplets(self) -> Triplets:
         """Convert back to canonical triplets (drops any padding)."""
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """Content fingerprint of the logical matrix, the same in every format.
+
+        It is :attr:`Triplets.fingerprint` of :meth:`to_triplets`, computed
+        on first use; a format's arrays are not mutated once built.
+        """
+        return self.to_triplets().fingerprint
 
     # -- structure --------------------------------------------------------
 

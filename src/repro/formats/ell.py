@@ -36,8 +36,9 @@ class ELL(SparseFormat):
     width:
         Entries per row (= max row nnz of the source matrix).
     indices, values:
-        ``(nrows, width)`` arrays; slots ``>= row_nnz[i]`` in row *i* are
-        padding.
+        ``(nrows, width)`` arrays stored slot-major (Fortran order), so slot
+        ``j`` of every row is one contiguous column — the order the kernel
+        walks; slots ``>= row_nnz[i]`` in row *i* are padding.
     row_nnz:
         Real nonzeros per row, needed to recover the logical matrix.
     """
@@ -52,8 +53,11 @@ class ELL(SparseFormat):
         policy: DTypePolicy = DEFAULT_POLICY,
     ):
         super().__init__(nrows, ncols, policy)
-        indices = policy.index_array(indices)
-        values = policy.value_array(values)
+        # The policy coerces to C order; applied to the transpose, that is
+        # Fortran (slot-major) order of the matrix, and a no-op for input
+        # that is already slot-major.
+        indices = policy.index_array(np.asarray(indices).T).T
+        values = policy.value_array(np.asarray(values).T).T
         row_nnz = np.ascontiguousarray(row_nnz, dtype=np.int64)
         if indices.ndim != 2 or indices.shape[0] != nrows:
             raise FormatError(f"ELL indices must be (nrows, width), got {indices.shape}")
@@ -81,8 +85,8 @@ class ELL(SparseFormat):
         counts = triplets.row_counts()
         width = int(counts.max()) if counts.size and triplets.nnz else 0
         width = max(width, 1)  # keep arrays 2-D even for empty matrices
-        indices = np.zeros((nrows, width), dtype=policy.index)
-        values = np.zeros((nrows, width), dtype=policy.value)
+        indices = np.zeros((nrows, width), dtype=policy.index, order="F")
+        values = np.zeros((nrows, width), dtype=policy.value, order="F")
         if triplets.nnz:
             # Slot of each entry within its row (triplets are row-major sorted).
             starts = np.cumsum(counts) - counts
@@ -95,8 +99,7 @@ class ELL(SparseFormat):
             last_idx = (starts + counts - 1)[nonempty]
             last_col[nonempty] = triplets.cols[last_idx]
             pad_mask = np.arange(width)[None, :] >= counts[:, None]
-            pad_rows, pad_slots = np.nonzero(pad_mask)
-            indices[pad_rows, pad_slots] = last_col[pad_rows]
+            np.copyto(indices, last_col[:, None], where=pad_mask)
         return cls(nrows, ncols, indices, values, counts, policy=policy)
 
     def to_triplets(self) -> Triplets:

@@ -11,8 +11,9 @@ benchmark-loop scenario, and any serving loop that multiplies the same
 operator against fresh dense panels — skip conversion and per-call planning
 entirely.
 
-:class:`PlanCache` memoizes plans behind a content fingerprint of the input
-matrix.  Two tiers:
+:class:`PlanCache` memoizes plans behind the input matrix's content
+fingerprint (:attr:`~repro.matrices.Triplets.fingerprint`, hashed once per
+triplets object).  Two tiers:
 
 * an in-memory LRU of full plans (closures included), keyed by
   :class:`PlanKey`;
@@ -63,7 +64,7 @@ __all__ = [
 
 #: Bump when plan/conversion semantics change: stale on-disk artifacts from
 #: older code are then ignored instead of replayed.
-PLAN_CACHE_VERSION = 1
+PLAN_CACHE_VERSION = 2
 
 #: Variants a plan can specialize.  GPU variants are excluded — their
 #: launch-check side effects (offload fault injection) must stay per-call.
@@ -88,40 +89,21 @@ def plan_supported(variant: str, operation: str = "spmm") -> bool:
 
 
 def fingerprint_triplets(triplets: Triplets) -> str:
-    """Content fingerprint of a COO-like input (shape, pattern, values).
+    """Content fingerprint of a COO-like input: :attr:`Triplets.fingerprint`.
 
-    Any mutation of the coordinate or value arrays changes the digest, so a
-    cache keyed by it can never serve a plan built for different data.
+    Hashed once per :class:`Triplets` object; later calls read the digest.
     """
-    h = hashlib.sha256()
-    h.update(
-        f"{triplets.nrows}x{triplets.ncols}"
-        f":{triplets.rows.dtype.str}:{triplets.cols.dtype.str}"
-        f":{triplets.values.dtype.str}".encode()
-    )
-    h.update(np.ascontiguousarray(triplets.rows).tobytes())
-    h.update(np.ascontiguousarray(triplets.cols).tobytes())
-    h.update(np.ascontiguousarray(triplets.values).tobytes())
-    return h.hexdigest()[:32]
+    return triplets.fingerprint
 
 
 def matrix_fingerprint(matrix: Triplets | SparseFormat) -> str:
     """Canonical fingerprint of a matrix, format-independent.
 
-    Triplets hash directly; a :class:`SparseFormat` hashes its canonical
-    triplet round-trip so the same logical matrix fingerprints identically
-    in every format (the tuned-table lookup relies on this).  The digest is
-    memoized on format instances — their arrays are treated as immutable
-    once built, which every code path in this repository honors.
+    A :class:`SparseFormat` fingerprints as its canonical triplets, so the
+    same logical matrix has one digest in every format (the tuned-table
+    lookup relies on this).
     """
-    if isinstance(matrix, Triplets):
-        return fingerprint_triplets(matrix)
-    cached = getattr(matrix, "_content_fingerprint", None)
-    if cached is not None:
-        return cached
-    digest = fingerprint_triplets(matrix.to_triplets())
-    matrix._content_fingerprint = digest
-    return digest
+    return matrix.fingerprint
 
 
 def _params_token(format_params) -> tuple:
@@ -294,7 +276,6 @@ class PlanCache:
         format_params: dict | None = None,
         tracer=None,
         builder: Callable[[], tuple[SparseFormat, float]] | None = None,
-        fingerprint: str | None = None,
     ) -> tuple[ExecutionPlan, str]:
         """Return ``(plan, provenance)`` for one cell.
 
@@ -303,14 +284,13 @@ class PlanCache:
         ``"built"`` (cold path: conversion ran).  ``builder`` overrides how
         the conversion artifact is produced — the benchmark suite passes its
         own ``format()`` step so format-specific knobs apply; it must return
-        ``(matrix, conversion_seconds)``.  ``fingerprint`` lets a caller
-        that already hashed the triplets (the engine memoizes per batch)
-        skip the sha256; the caller then owns the no-mutation guarantee.
+        ``(matrix, conversion_seconds)``.  The plan is keyed by
+        :attr:`Triplets.fingerprint`, hashed once per triplets object.
         """
         if not plan_supported(variant):
             raise BenchConfigError(f"variant {variant!r} is not plannable")
         key = PlanKey(
-            fingerprint=fingerprint or fingerprint_triplets(triplets),
+            fingerprint=triplets.fingerprint,
             format_name=format_name.lower(),
             variant=variant,
             k=int(k),

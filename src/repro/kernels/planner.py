@@ -316,16 +316,13 @@ def plan_spmm(
         units = _units(layout, parts, k, chunk_elements, k, partial(_stream_fragment, layout))
         return SpmmPlan([partial(_slot_unit, u) for u in units], A.nrows, A.policy.value)
     if isinstance(A, ELL):
-        # Every row has identical work (the width), so split row counts.  A
-        # one-unit plan hoists contiguous slot columns (the Study 9 hoisted
-        # loads); split plans read the matrix through strided views, so a
-        # parallel plan holds no second copy of it.
+        # Every row has identical work (the width), so split row counts.  ELL
+        # stores slot-major, so each unit reads its rows of every slot as a
+        # contiguous view and no plan holds a second copy of the matrix.
         units = []
         for r0, r1 in _row_ranges(np.arange(A.nrows + 1, dtype=np.int64), parts):
-            idx, val = A.indices[r0:r1].T, A.values[r0:r1].T
-            if parts == 1:
-                idx, val = np.ascontiguousarray(idx), np.ascontiguousarray(val)
-            units.append(partial(_slot_unit, [(slice(r0, r1), (idx, val), None)]))
+            slots = (A.indices[r0:r1].T, A.values[r0:r1].T)
+            units.append(partial(_slot_unit, [(slice(r0, r1), slots, None)]))
         return SpmmPlan(units, A.nrows, A.policy.value)
     if isinstance(A, BELL):
         work_ptr = np.zeros(A.nrows + 1, dtype=np.int64)

@@ -5,12 +5,15 @@ every format in the suite is built from that representation.  The
 :class:`CooBuilder` collects ``(row, col, value)`` triplets, then
 :meth:`CooBuilder.finish` validates bounds, sorts row-major, and sums
 duplicates, producing an immutable :class:`Triplets` bundle that the format
-constructors consume.
+constructors consume.  A bundle's arrays are read-only, so its content
+fingerprint is computed once and read by every cache keyed on it.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,13 +25,41 @@ __all__ = ["Triplets", "CooBuilder"]
 
 @dataclass(frozen=True)
 class Triplets:
-    """Validated, row-major-sorted, duplicate-free COO triplets."""
+    """Validated, row-major-sorted, duplicate-free COO triplets.
+
+    The three arrays are frozen (``flags.writeable = False``) on
+    construction: a matrix's content cannot change under a cache keyed by
+    its :attr:`fingerprint`.  A caller that needs to edit one copies the
+    array first.
+    """
 
     nrows: int
     ncols: int
     rows: np.ndarray
     cols: np.ndarray
     values: np.ndarray
+
+    def __post_init__(self) -> None:
+        for array in (self.rows, self.cols, self.values):
+            array.flags.writeable = False
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """Content digest (shape, dtypes, pattern, values), hashed on first use.
+
+        Any change to the coordinates or values changes it, so a cache keyed
+        by it can never serve a plan built for different data.  Plans, engine
+        groups, migration, shared-memory publication and the tune store all
+        read this one value.
+        """
+        h = hashlib.sha256()
+        h.update(
+            f"{self.nrows}x{self.ncols}"
+            f":{self.rows.dtype.str}:{self.cols.dtype.str}:{self.values.dtype.str}".encode()
+        )
+        for array in (self.rows, self.cols, self.values):
+            h.update(np.ascontiguousarray(array))
+        return h.hexdigest()[:32]
 
     @property
     def nnz(self) -> int:

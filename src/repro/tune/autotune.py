@@ -27,7 +27,7 @@ from ..bench.sweep import run_thread_sweep
 from ..errors import BenchConfigError
 from ..formats.spec import FormatSpec
 from ..kernels.common import DEFAULT_CHUNK_ELEMENTS
-from ..kernels.plan import PlanCache, fingerprint_triplets
+from ..kernels.plan import PlanCache
 from ..machine.machines import Machine
 from ..matrices.coo_builder import Triplets
 from .store import TuneDecision, TuneStore
@@ -205,9 +205,8 @@ def autotune(
         tracer.count("tune_decisions")
 
     best = max(cells, key=lambda c: c.mflops)
-    fingerprint = fingerprint_triplets(triplets)
     decision = TuneDecision(
-        fingerprint=fingerprint,
+        fingerprint=triplets.fingerprint,
         matrix=matrix_name,
         format_name=best.format_name,
         variant=best.variant,
@@ -223,7 +222,7 @@ def autotune(
         store.record(decision)
     return TuneReport(
         matrix=matrix_name,
-        fingerprint=fingerprint,
+        fingerprint=triplets.fingerprint,
         k=k,
         mode=mode,
         cells=cells,

@@ -22,7 +22,6 @@ from pathlib import Path
 
 from ..errors import BenchConfigError
 from ..kernels.common import DEFAULT_CHUNK_ELEMENTS
-from ..kernels.plan import matrix_fingerprint
 
 __all__ = [
     "TuneDecision",
@@ -252,7 +251,7 @@ def resolve_auto_variant(
     work-size heuristic picks serial or parallel.
     """
     store = store if store is not None else get_active_store()
-    decision = store.lookup(matrix_fingerprint(matrix), k)
+    decision = store.lookup(matrix.fingerprint, k)
     if decision is None:
         if tracer is not None:
             tracer.count("auto_dispatch_fallback")
@@ -294,7 +293,7 @@ def resolve_auto_format(
     triplets; formats are round-tripped through ``to_triplets``).
     """
     store = store if store is not None else get_active_store()
-    decision = store.lookup(matrix_fingerprint(matrix), k)
+    decision = store.lookup(matrix.fingerprint, k)
     if decision is not None:
         if tracer is not None:
             tracer.count("auto_format_tuned")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,26 @@ def degenerate_zoo():
     from repro.verify.adversarial import degenerate_zoo as _zoo
 
     return _zoo(0)
+
+
+@pytest.fixture
+def content_hashes(monkeypatch):
+    """Records each content fingerprint the code under test computes.
+
+    A content fingerprint starts an empty SHA-256 and feeds it the arrays;
+    the short cache-file tokens hash a string given up front, so they are
+    not counted.
+    """
+    calls = []
+    sha256 = hashlib.sha256
+
+    def counting(*args, **kwargs):
+        if not args and not kwargs:
+            calls.append(1)
+        return sha256(*args, **kwargs)
+
+    monkeypatch.setattr(hashlib, "sha256", counting)
+    return calls
 
 
 @pytest.fixture(params=ALL_FORMATS)

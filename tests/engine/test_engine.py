@@ -1,5 +1,7 @@
 """Engine integration tests: plan sharing, bit-identity, the empty run."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.errors import EngineClosedError, EngineError
 from repro.formats.registry import get_format
 from repro.kernels.dispatch import run_spmm
 from repro.kernels.plan import PlanCache
+from repro.matrices import suite
 from repro.tune.store import TuneDecision, TuneStore
 
 from ..conftest import make_random_triplets
@@ -240,3 +243,29 @@ class TestLifecycle:
         ):
             assert key in stats, key
         assert stats["plan_cache"]["plan_misses"] == 1
+
+
+class TestFingerprintOnce:
+    """A matrix is hashed once, however many requests and engines use it."""
+
+    @staticmethod
+    def _serve(matrix):
+        # Two engines, like a server's tenants; "auto" resolution reads the
+        # fingerprint too.
+        for _ in range(2):
+            with Engine(workers=1, backend="thread", tune_store=TuneStore()) as engine:
+                for _ in range(3):
+                    engine.run(
+                        SpmmRequest(matrix=matrix, k=4, scale=64, variant="auto", fmt="auto")
+                    )
+
+    def test_inline_triplets(self, content_hashes):
+        self._serve(make_random_triplets(40, 32, density=0.2, seed=21))
+        assert len(content_hashes) == 1
+
+    def test_suite_matrix(self, content_hashes, monkeypatch):
+        # A fresh loader cache, so the matrix object is new to this test.
+        fresh = functools.lru_cache(maxsize=64)(suite._load_cached.__wrapped__)
+        monkeypatch.setattr(suite, "_load_cached", fresh)
+        self._serve("cant")
+        assert len(content_hashes) == 1

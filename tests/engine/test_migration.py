@@ -122,8 +122,8 @@ class TestDecisionRule:
         manager = self._manager(MigrationPolicy(min_hits=5), tracer)
         t = make_random_triplets(30, 30, density=0.3, seed=1)
         for _ in range(4):
-            manager.observe(t, "fp", "csr", "serial", 8, 1, 1e-3)
-        assert manager.status("fp", "csr", "serial", 8, 1) == "watching"
+            manager.observe(t, "csr", "serial", 8, 1, 1e-3)
+        assert manager.status(t.fingerprint, "csr", "serial", 8, 1) == "watching"
         assert tracer.counters.get("migration_candidates", 0) == 0
         manager.close()
 
@@ -133,8 +133,8 @@ class TestDecisionRule:
         manager = self._manager(MigrationPolicy(min_hits=1, margin=1e9), tracer)
         t = make_random_triplets(30, 30, density=0.3, seed=2)
         for _ in range(10):
-            manager.observe(t, "fp", "csr", "serial", 8, 1, 1e-3, conversion_s=1e-3)
-        assert manager.status("fp", "csr", "serial", 8, 1) == "watching"
+            manager.observe(t, "csr", "serial", 8, 1, 1e-3, conversion_s=1e-3)
+        assert manager.status(t.fingerprint, "csr", "serial", 8, 1) == "watching"
         assert tracer.counters.get("migration_candidates", 0) == 0
         manager.close()
 
@@ -144,7 +144,7 @@ class TestDecisionRule:
             MigrationPolicy(candidate_variants=(), candidate_formats=()), tracer
         )
         t = make_random_triplets(30, 30, density=0.3, seed=3)
-        outcome = manager.migrate_now(t, "fp", "csr", "serial", 8, 1, force=True)
+        outcome = manager.migrate_now(t, "csr", "serial", 8, 1, force=True)
         assert outcome.target is None
         assert outcome.reason == "no-bit-identical-candidate"
         assert tracer.counters["migration_rejected"] == 1
@@ -154,13 +154,13 @@ class TestDecisionRule:
         tracer = Tracer()
         manager = self._manager(MigrationPolicy(probe_repeats=1), tracer)
         t = make_random_triplets(_N, _N, density=_DENSITY, seed=4)
-        outcome = manager.migrate_now(t, "fp", "csr", "serial", 8, 1, force=True)
+        outcome = manager.migrate_now(t, "csr", "serial", 8, 1, force=True)
         assert outcome.reason == "migrated"
         assert outcome.target is not None
-        assert manager.resolve("fp", "csr", "serial", 8, 1) == outcome.target
+        assert manager.resolve(t.fingerprint, "csr", "serial", 8, 1) == outcome.target
         assert tracer.counters["migration_completed"] == 1
         # A second probe of the same group is a no-op.
-        again = manager.migrate_now(t, "fp", "csr", "serial", 8, 1, force=True)
+        again = manager.migrate_now(t, "csr", "serial", 8, 1, force=True)
         assert again.reason == "already-migrated"
         manager.close()
 

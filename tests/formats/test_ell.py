@@ -69,6 +69,27 @@ class TestELLStructure:
         assert t.nnz == small_triplets.nnz
         assert np.allclose(t.to_dense(), small_triplets.to_dense())
 
+    def test_storage_is_slot_major(self, small_triplets):
+        """Slot j of every row is one contiguous column, and plans read it in place."""
+        from repro.kernels.planner import plan_spmm
+
+        A = ELL.from_triplets(small_triplets)
+        assert A.width > 1
+        assert A.indices.flags.f_contiguous and A.values.flags.f_contiguous
+        from_c = ELL(
+            A.nrows, A.ncols, np.ascontiguousarray(A.indices),
+            np.ascontiguousarray(A.values), A.row_nnz,
+        )
+        assert from_c.indices.flags.f_contiguous and from_c.values.flags.f_contiguous
+        kept = ELL(A.nrows, A.ncols, A.indices, A.values, A.row_nnz)
+        assert np.shares_memory(kept.indices, A.indices)
+        assert np.shares_memory(kept.values, A.values)
+        for parts in (1, 3):
+            for unit in plan_spmm(A, 4, parts).units:
+                ((_rows, (idx, val), _thin),) = unit.args[0]
+                assert np.shares_memory(idx, A.indices) and np.shares_memory(val, A.values)
+                assert idx[0].flags.c_contiguous and val[0].flags.c_contiguous
+
     def test_validation_row_nnz_range(self):
         with pytest.raises(FormatError):
             ELL(2, 4, np.zeros((2, 2), int), np.zeros((2, 2)), np.array([3, 0]))

@@ -131,14 +131,30 @@ def test_mutated_matrix_gets_fresh_plan(small_triplets):
     assert np.allclose(plan2(B), 2.0 * plan(B))
 
 
-def test_matrix_fingerprint_format_independent(small_triplets):
-    """The same logical matrix fingerprints identically in every format."""
+def test_matrix_fingerprint_format_independent(small_triplets, content_hashes):
+    """The same logical matrix fingerprints identically in every format: a
+    format's fingerprint is its canonical triplets', hashed once per object."""
     want = fingerprint_triplets(small_triplets)
     for fmt in ALL_FORMATS:
         A = build_format(fmt, small_triplets)
+        assert A.fingerprint == A.to_triplets().fingerprint == want, fmt
+        hashed = len(content_hashes)
         assert matrix_fingerprint(A) == want, fmt
-        # Memoized on the instance after the first call.
-        assert A._content_fingerprint == want
+        assert len(content_hashes) == hashed, fmt
+
+
+def test_plan_cache_hashes_each_triplets_once(content_hashes):
+    """Planning one matrix in every format, serial and parallel, hashes it once."""
+    trip = make_random_triplets(40, 30, density=0.2, seed=7)
+    cache = PlanCache()
+    for fmt in ALL_FORMATS:
+        for variant in ("serial", "parallel"):
+            cache.get_or_build_plan(
+                trip, fmt, variant=variant, k=K, threads=2,
+                format_params=FORMAT_PARAMS.get(fmt),
+            )
+    assert len(cache) == 2 * len(ALL_FORMATS)
+    assert len(content_hashes) == 1
 
 
 def test_conversion_artifact_shared_across_variants(small_triplets):

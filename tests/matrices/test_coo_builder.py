@@ -91,6 +91,16 @@ class TestCooBuilder:
 
 
 class TestTriplets:
+    def test_arrays_are_read_only(self, small_triplets):
+        for array in (small_triplets.rows, small_triplets.cols, small_triplets.values):
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+    def test_fingerprint_hashed_once(self, content_hashes):
+        t = CooBuilder(3, 3).finish()
+        assert t.fingerprint == t.fingerprint
+        assert len(content_hashes) == 1
+
     def test_row_counts(self):
         b = CooBuilder(4, 4)
         b.add_batch([0, 0, 2], [0, 1, 3], [1, 1, 1])

@@ -260,7 +260,13 @@ class TestDrain:
         results = []
 
         def burst():
-            with Client(port=srv.port) as c:
+            try:
+                client = Client(port=srv.port)
+            except ServeError:
+                # The drain closed the listener before this thread connected.
+                results.append("rejected")
+                return
+            with client as c:
                 for _ in range(4):
                     try:
                         c.multiply(t, fmt="csr", k=16, repeats=3)
