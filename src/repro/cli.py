@@ -202,9 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "conversion cost amortizes (default: on for "
                               "--listen, off for --jobs)")
     serve_p.add_argument("--migration-formats", default=None, metavar="FMT[,FMT...]",
-                         help="also probe these formats as migration candidates; "
-                              "relaxes the bit-identity gate to an rtol check, "
-                              "since format changes reorder accumulation")
+                         help="also probe these formats as migration candidates, "
+                              "under the same bit-identity gate")
 
     loadgen_p = sub.add_parser(
         "loadgen",
@@ -242,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen_p.add_argument("--migration-formats", default=None,
                            metavar="FMT[,FMT...]",
                            help="forwarded to the --spawn server: cross-format "
-                                "migration candidates under the relaxed rtol gate")
+                                "migration candidates under the bit-identity gate")
     loadgen_p.add_argument("--connections", type=int, default=4,
                            help="concurrent client connections (default 4)")
     loadgen_p.add_argument("--tenant", default="default")
@@ -576,8 +575,8 @@ def _parse_tenants(text: str | None) -> dict[str, int]:
 def _migration_knob(args: argparse.Namespace, default: bool):
     """--migration/--no-migration plus --migration-formats -> engine knob.
 
-    Returns ``False``, ``True``, or a :class:`MigrationPolicy` admitting
-    the requested cross-format candidates under the relaxed rtol gate.
+    Returns ``False``, ``True``, or a :class:`MigrationPolicy` that also
+    probes the requested formats.
     """
     enabled = args.migration if args.migration is not None else default
     if not enabled:
@@ -591,7 +590,7 @@ def _migration_knob(args: argparse.Namespace, default: bool):
             if tok.strip()
         )
         if fmts:
-            return MigrationPolicy(require_bit_identity=False, candidate_formats=fmts)
+            return MigrationPolicy(candidate_formats=fmts)
     return True
 
 

@@ -60,7 +60,7 @@ from ..tune.store import (
 )
 from .backends import BACKEND_NAMES, Backend, make_backend
 from .backends.shm import SharedArray
-from .migration import MigrationManager, MigrationPolicy
+from .migration import MigrationManager, MigrationPolicy, migratable
 from .request import SpmmRequest, SpmmResult
 
 __all__ = ["Engine", "DEFAULT_WORKERS", "BACKEND_NAMES"]
@@ -319,20 +319,22 @@ class Engine:
             variant, tuned_opts = self._resolve_variant(request, triplets)
             fmt, fmt_params = self._resolve_format(request, triplets)
             threads = int(tuned_opts.get("threads", request.threads))
+            B = self._dense_operand(request, triplets)
             # Online migration: a group whose redirect landed executes on
             # the migrated (format, variant, threads, params) cell from
             # here on; requests resolved before the swap keep their plan.
+            # A non-finite B keeps its arrival cell: padding and fill turn
+            # 0 * inf into NaN, so formats give different bytes for it.
             migrated = False
-            if self._migrations is not None and plan_supported(variant):
+            if self._migrations is not None and migratable(variant):
                 target = self._migrations.resolve(
                     fingerprint, fmt, variant, request.k, threads, fmt_params
                 )
-                if target is not None:
+                if target is not None and np.isfinite(B).all():
                     fmt, variant, threads = target.format_name, target.variant, target.threads
                     fmt_params = dict(target.format_params)
                     migrated = True
                     self.tracer.count("migration_served")
-            B = self._dense_operand(request, triplets)
             if self._backend.remote and plan_supported(variant):
                 body = self._run_remote(
                     request, triplets, fmt, fmt_params, variant, threads, B, migrated
@@ -346,7 +348,7 @@ class Engine:
                     request, triplets, name, fmt, fmt_params, variant, threads, tuned_opts, B
                 )
             output, timing, provenance, plan_time, execute_s, verified = body
-            if self._migrations is not None and not migrated and plan_supported(variant):
+            if self._migrations is not None and not migrated and migratable(variant):
                 per_call_s = (
                     timing.mean
                     if timing is not None
@@ -642,7 +644,7 @@ class Engine:
         triplets, _fingerprint, _name = self._resolve_matrix(request)
         variant, tuned_opts = self._resolve_variant(request, triplets)
         fmt, fmt_params = self._resolve_format(request, triplets)
-        if not plan_supported(variant):
+        if not migratable(variant):
             raise EngineError(f"variant {request.variant!r} is not migratable")
         return self._migrations.migrate_now(
             triplets,

@@ -14,21 +14,26 @@ a conversion once the traffic has proven it back:
   a background probe (``migration_candidates``);
 * the probe — on a daemon worker thread, never a serving thread — times
   the current plan and a small candidate set (the tune store's recorded
-  winner plus same-format variant rewrites), measuring each candidate's
-  conversion cost through the shared :class:`~repro.kernels.plan.PlanCache`
-  (``format_time_s`` is the stage timer the decision uses);
+  winner, same-format variant rewrites, and ``candidate_formats``),
+  measuring each candidate's conversion cost through the shared
+  :class:`~repro.kernels.plan.PlanCache` (``format_time_s`` is the stage
+  timer the decision uses);
 * the Katagiri rule decides: migrate only when
   ``hits * (t_current - t_candidate) > conversion_cost * margin`` — the
   observed reuse is the projection of future reuse;
 * a **bit-identity gate** guards the swap: the candidate's output on a
   deterministic probe operand must equal the current plan's output
-  byte-for-byte (``require_bit_identity=True``, the default).  Same-format
-  variant rewrites preserve per-row accumulation order and pass; under
-  this gate cross-format candidates are never even probed — two formats'
-  accumulation orders can coincide on one operand and diverge on the
-  next, so a single probe cannot prove the swap safe.  Relaxing the gate
-  (``require_bit_identity=False`` plus ``candidate_formats``) switches to
-  an ``rtol`` tolerance check and admits them.
+  byte-for-byte.  Every format and every variant but ``grouped*`` sums
+  each row left to right in stored order
+  (:func:`~repro.verify.reference.exact_reference`), so for a finite
+  operand one probe proves the swap, across formats too.
+
+Two cases stay outside that contract, so they never migrate.  The
+``grouped*`` variants sum in the order BLAS picks, which can match the
+left-to-right sum on one operand and not on the next, so they are neither
+a source nor a target.  Padding and BCSR fill compute ``0 * inf = NaN``,
+so a request whose B has a non-finite entry ignores a redirect and runs
+its arrival cell (the engine checks B only for redirected groups).
 
 A successful probe installs a versioned redirect in the plan cache
 (:meth:`~repro.kernels.plan.PlanCache.install_migration`): in-flight
@@ -52,14 +57,20 @@ import numpy as np
 
 from ..dtypes import DEFAULT_POLICY, DTypePolicy
 from ..kernels.common import DEFAULT_CHUNK_ELEMENTS
+from ..kernels.dispatch import sums_left_to_right
 from ..kernels.plan import MigrationTarget, PlanCache, plan_supported
 from ..matrices.coo_builder import Triplets
 from ..tune.store import TuneDecision, TuneStore, get_active_store
 
-__all__ = ["MigrationPolicy", "MigrationManager"]
+__all__ = ["MigrationPolicy", "MigrationManager", "migratable"]
 
 #: Sentinel pushed to wake the worker thread up for shutdown.
 _STOP = object()
+
+
+def migratable(variant: str) -> bool:
+    """Whether a plan group of ``variant`` can be a migration source or target."""
+    return plan_supported(variant) and sums_left_to_right(variant)
 
 
 def _freeze_params(fmt_params) -> tuple:
@@ -86,11 +97,6 @@ class MigrationPolicy:
     margin: float = 1.0
     #: Timing samples per plan during a probe (minimum is taken).
     probe_repeats: int = 3
-    #: Swap only to a candidate whose probe output is byte-identical to
-    #: the current plan's.  Relaxing this admits cross-format candidates
-    #: under an ``rtol`` tolerance check instead.
-    require_bit_identity: bool = True
-    rtol: float = 1e-7
     #: Same-format variant rewrites probed besides the tune store's
     #: recorded winner.
     candidate_variants: tuple[str, ...] = (
@@ -99,10 +105,8 @@ class MigrationPolicy:
         "parallel",
         "serial",
     )
-    #: Cross-format candidates, only probed when the bit-identity gate is
-    #: relaxed (format changes reorder accumulation, and a single probe
-    #: operand cannot prove bit-safety across formats).  Populate together
-    #: with ``require_bit_identity=False``.
+    #: Other formats probed, each with every candidate variant and its
+    #: default format parameters.
     candidate_formats: tuple[str, ...] = ()
     #: Thread count tried for parallel candidate variants.
     candidate_threads: int = 2
@@ -425,39 +429,24 @@ class MigrationManager:
         out: list[tuple[str, str, int, tuple]] = []
 
         def push(cell: tuple[str, str, int, tuple]) -> None:
-            if cell not in seen and plan_supported(cell[1]):
+            if cell not in seen and migratable(cell[1]):
                 seen.add(cell)
                 out.append(cell)
 
-        # Under the bit-identity gate only same-format variant rewrites
-        # qualify: one probe operand cannot prove a cross-format swap safe
-        # (two formats' accumulation orders can coincide on one input and
-        # diverge on the next), so cross-format candidates — including a
-        # tuned winner recorded for another format — need the relaxed
-        # tolerance gate.  A tuned winner for the *same* format may carry
-        # different format parameters (a tuned SELL (chunk, sigma) cell);
-        # the probe's identity gate still decides whether it swaps in.
-        cross_format_ok = not self.policy.require_bit_identity
+        # A tuned winner may name another format or other format
+        # parameters (a tuned SELL (chunk, sigma) cell); the probe's
+        # bit-identity gate decides whether it swaps in.
         decision = self.store.lookup(fingerprint, k)
         if decision is not None:
-            cand_fmt = decision.format_name.lower()
-            if cand_fmt == fmt or cross_format_ok:
-                push((
-                    cand_fmt,
-                    decision.variant,
-                    max(decision.threads, 1),
-                    decision.format_params,
-                ))
+            push((decision.format_name.lower(), decision.variant,
+                  max(decision.threads, 1), decision.format_params))
         cores = os.cpu_count() or 1
         parallel_threads = max(1, min(self.policy.candidate_threads, cores))
-        for cand_variant in self.policy.candidate_variants:
-            t = parallel_threads if "parallel" in cand_variant else 1
-            push((fmt, cand_variant, t, fmt_params))
-        if cross_format_ok:
-            for cand_fmt in self.policy.candidate_formats:
-                for cand_variant in self.policy.candidate_variants:
-                    t = parallel_threads if "parallel" in cand_variant else 1
-                    push((cand_fmt.lower(), cand_variant, t, ()))
+        cells = [(fmt, fmt_params)] + [(f.lower(), ()) for f in self.policy.candidate_formats]
+        for cand_fmt, params in cells:
+            for cand_variant in self.policy.candidate_variants:
+                t = parallel_threads if "parallel" in cand_variant else 1
+                push((cand_fmt, cand_variant, t, params))
         return out
 
     def _probe_operand(self, triplets: Triplets, k: int) -> np.ndarray:
@@ -475,12 +464,8 @@ class MigrationManager:
         return best
 
     def _acceptable(self, reference: np.ndarray, output: np.ndarray) -> bool:
-        if reference.shape != output.shape or reference.dtype != output.dtype:
-            return False
-        identical = reference.tobytes() == output.tobytes()
-        if identical or self.policy.require_bit_identity:
-            return identical
-        return bool(np.allclose(reference, output, rtol=self.policy.rtol, atol=0.0))
+        same_layout = (reference.shape, reference.dtype) == (output.shape, output.dtype)
+        return same_layout and reference.tobytes() == output.tobytes()
 
     def _record_decision(
         self, k: int, best: _Candidate, triplets: Triplets

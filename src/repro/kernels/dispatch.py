@@ -49,6 +49,7 @@ __all__ = [
     "serial_spmv",
     "parallel_spmv",
     "SPMM_VARIANTS",
+    "sums_left_to_right",
     "SPMV_BASE",
 ]
 
@@ -168,6 +169,14 @@ SPMM_VARIANTS: dict[str, Callable] = {
     "grouped": grouped_spmm,
     "grouped_parallel": _spmm_variant("grouped_parallel"),
 }
+
+
+def sums_left_to_right(variant: str) -> bool:
+    """Whether ``variant`` sums each row of C left to right in stored order.
+
+    Every variant does but ``grouped*``, which sums in the order BLAS picks.
+    """
+    return not variant.startswith("grouped")
 
 
 def _spmv(A, x, threads: int) -> np.ndarray:

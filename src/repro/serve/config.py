@@ -113,8 +113,7 @@ class ServeConfig:
         request in its arrival format forever (the ``--no-migration``
         CLI knob); a :class:`~repro.engine.migration.MigrationPolicy`
         instance customizes the decision rule (e.g. cross-format
-        candidates under a relaxed gate, the ``--migration-formats``
-        CLI knob).
+        candidates, the ``--migration-formats`` CLI knob).
     """
 
     host: str = "127.0.0.1"
@@ -167,7 +166,6 @@ class ServeConfig:
             "migration": (
                 {
                     "enabled": self.migration.enabled,
-                    "require_bit_identity": self.migration.require_bit_identity,
                     "candidate_formats": list(self.migration.candidate_formats),
                 }
                 if isinstance(self.migration, MigrationPolicy)

@@ -8,13 +8,14 @@ related correctness harnesses (SELL-C-sigma, run-time format transformation)
 show padding/permutation/chunking each bring distinct failure modes.  This
 package is the machine that hunts them:
 
-* :mod:`repro.verify.reference` — the COO/dense reference multiplies and the
-  tolerance model (formerly ``repro.bench.verify``);
+* :mod:`repro.verify.reference` — the exact left-to-right reference, the
+  COO/dense reference multiplies and the tolerance model;
 * :mod:`repro.verify.oracle` — the **differential oracle**: one logical
   multiply through every execution path (direct kernel, ``api.multiply``,
   plan-cached/uncached, engine-batched/direct,
-  ``variant="auto"``), asserted bit-identical or tolerance-bounded against
-  the reference;
+  ``variant="auto"``), asserted bit-identical to the exact reference
+  (the ``grouped`` variants: bit-identical to their direct kernel result,
+  which must sit within tolerance of the dense reference);
 * :mod:`repro.verify.metamorphic` — oracle-free relations: permutation
   equivariance, scalar scaling, transpose duality, k-slicing, format
   round-trips;
@@ -39,7 +40,9 @@ from .oracle import (
     OracleReport,
     supported_variants,
 )
-from .reference import dense_reference, reference_spmm, result_tolerance, verify_result
+from .reference import (
+    dense_reference, exact_reference, reference_spmm, result_tolerance, verify_result
+)
 from .shrink import ShrinkResult, shrink_case
 
 __all__ = [
@@ -54,6 +57,7 @@ __all__ = [
     "ShrinkResult",
     "degenerate_zoo",
     "dense_reference",
+    "exact_reference",
     "generate_case",
     "load_corpus",
     "reference_spmm",

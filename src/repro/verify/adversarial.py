@@ -11,7 +11,7 @@ and blocking each break differently:
 * prime dimensions (block sizes never divide evenly),
 * duplicate COO entries (the builder must sum, formats must not double),
 * explicit stored zeros (padding/value confusion),
-* extreme value magnitudes (tolerance-scaling stress),
+* extreme value magnitudes (any reordered sum changes the bits),
 * SELL-C-σ boundary geometry (fewer rows than one chunk; a sorting
   window that is entirely empty).
 
@@ -147,7 +147,7 @@ def cancelling_duplicates(seed: int = 0) -> Triplets:
 
 
 def wide_value_range(seed: int = 0) -> Triplets:
-    """Values spanning ~1e-6..1e6: stresses the tolerance scaling."""
+    """Values spanning ~1e-6..1e6: a reordered row sum changes the bits."""
     rng = _rng(seed)
     n = 9
     mask = rng.random((n, n)) < 0.4

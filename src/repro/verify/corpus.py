@@ -103,7 +103,7 @@ def load_corpus(corpus_dir: str | Path) -> list[dict]:
     return entries
 
 
-def replay_corpus(corpus_dir: str | Path, rtol: float = 1e-6, tracer=None) -> list[dict]:
+def replay_corpus(corpus_dir: str | Path, tracer=None) -> list[dict]:
     """Re-run every corpus entry against the current tree.
 
     Returns one record per entry: ``{"path", "check", "still_failing",
@@ -116,7 +116,7 @@ def replay_corpus(corpus_dir: str | Path, rtol: float = 1e-6, tracer=None) -> li
     entries = load_corpus(corpus_dir)
     if not entries:
         return results
-    with DifferentialOracle(rtol=rtol) as oracle:
+    with DifferentialOracle() as oracle:
         for entry in entries:
             triplets = triplets_from_entry(entry)
             k = int(entry["shrunk"].get("k", entry["k"]))
@@ -132,7 +132,6 @@ def replay_corpus(corpus_dir: str | Path, rtol: float = 1e-6, tracer=None) -> li
                         seed=case_seed,
                         fmt=check.get("fmt", "csr"),
                         variant=check.get("variant", "serial"),
-                        rtol=rtol,
                     )
                 else:
                     found = oracle.check_single(

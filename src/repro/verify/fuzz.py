@@ -184,7 +184,6 @@ def run_fuzz(
     *,
     formats=None,
     variants=("serial", "parallel"),
-    rtol: float = 1e-6,
     tracer=None,
     shrink: bool = True,
     max_shrink_attempts: int = 300,
@@ -200,7 +199,7 @@ def run_fuzz(
     fmts = tuple(formats) if formats is not None else tuple(format_names())
     relations = tuple(METAMORPHIC_RELATIONS)
     oracle = DifferentialOracle(
-        formats=fmts, variants=tuple(variants), paths=PATH_NAMES, rtol=rtol, tracer=tracer
+        formats=fmts, variants=tuple(variants), paths=PATH_NAMES, tracer=tracer
     )
     with oracle:
         for index in range(int(budget)):
@@ -247,15 +246,14 @@ def run_fuzz(
                 try:
                     msgs = run_relation(
                         name, case.triplets, k=case.k, seed=case.case_seed,
-                        fmt=meta_fmt, variant=case_variants[0], rtol=rtol,
+                        fmt=meta_fmt, variant=case_variants[0],
                     )
                 except Exception as exc:  # noqa: BLE001 - a crash is a failure
                     msgs = [f"relation raised {type(exc).__name__}: {exc}"]
                 meta_failures.extend((name, m) for m in msgs)
             for name, message in meta_failures[:3]:
                 shrunk = _shrink_relation_failure(
-                    case, name, meta_fmt, case_variants[0], rtol, shrink,
-                    max_shrink_attempts,
+                    case, name, meta_fmt, case_variants[0], shrink, max_shrink_attempts
                 )
                 check = {"kind": "metamorphic", "relation": name, "fmt": meta_fmt,
                          "variant": case_variants[0]}
@@ -296,13 +294,12 @@ def _shrink_oracle_failure(oracle, case, discrepancy, shrink, max_attempts):
     return shrink_case(case.triplets, case.k, predicate, max_attempts=max_attempts)
 
 
-def _shrink_relation_failure(case, relation, fmt, variant, rtol, shrink, max_attempts):
+def _shrink_relation_failure(case, relation, fmt, variant, shrink, max_attempts):
     def predicate(t, kk):
         try:
             return bool(
                 run_relation(
-                    relation, t, k=kk, seed=case.case_seed, fmt=fmt, variant=variant,
-                    rtol=rtol,
+                    relation, t, k=kk, seed=case.case_seed, fmt=fmt, variant=variant
                 )
             )
         except Exception:  # noqa: BLE001 - a crashing relation is still failing

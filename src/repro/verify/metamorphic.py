@@ -18,13 +18,17 @@ systematic index shift applied identically everywhere):
   the dense matrix and the computed product;
 * ``backward_duality`` — the backward gradient multiply ``A^T @ G``
   (kernels/backward.py) is bit-identical to the Study 8 transpose kernel
-  on an explicitly transposed operand, and agrees with the straight
-  forward kernel on the transposed triplets;
+  on an explicitly transposed operand, and to the straight forward kernel
+  on the transposed triplets;
 * ``spgemm_identity`` — ``A @ I == A`` under Gustavson SpGEMM, and
   ``A @ A^T`` dense-agrees with the densified product.
 
-Each relation takes ``(triplets, B, k, fmt, variant, rtol)`` and returns a
-list of human-readable failure strings (empty = holds).  The shrinker uses
+Every kernel path sums each row left to right, so relations that keep
+each row's order compare bytes.  Only ``col_permutation``, the BLAS-order
+legs (``x @ C``, ``A @ A^T``) and the ``grouped`` variants keep a tolerance.
+
+Each relation takes ``(triplets, B, k, fmt, variant)`` and returns a list
+of human-readable failure strings (empty = holds).  The shrinker uses
 :func:`run_relation` as its predicate when minimizing a relation failure.
 """
 
@@ -36,7 +40,7 @@ import numpy as np
 
 from ..formats.convert import convert
 from ..formats.registry import format_names, get_format
-from ..kernels.dispatch import run_spmm, run_spmv
+from ..kernels.dispatch import run_spmm, run_spmv, sums_left_to_right
 from ..matrices.coo_builder import CooBuilder, Triplets
 from .oracle import DEFAULT_FORMAT_PARAMS, supported_variants
 from .reference import result_tolerance
@@ -61,27 +65,30 @@ def _multiply(fmt: str, variant: str, triplets: Triplets, B: np.ndarray, k: int)
     return np.asarray(run_spmm(_build(fmt, triplets), B, variant=variant, k=k), dtype=np.float64)
 
 
-def _mismatch(got: np.ndarray, want: np.ndarray, rtol: float) -> float | None:
-    """Max abs deviation if outside the scaled band, else None."""
+def _mismatch(got: np.ndarray, want: np.ndarray, exact: bool) -> float | None:
+    """Max abs deviation if ``got`` fails byte equality (``exact``) or the
+    scaled tolerance band, else None."""
     if got.shape != want.shape:
         return float("inf")
     err = float(np.abs(got - want).max()) if want.size else 0.0
-    return err if err > result_tolerance(want, rtol) else None
+    if exact:
+        return None if got.tobytes() == want.tobytes() else err
+    return err if err > result_tolerance(want) else None
 
 
-def row_permutation(triplets, B, k, fmt, variant, rtol):
+def row_permutation(triplets, B, k, fmt, variant):
     """Permuting A's rows must permute C's rows identically."""
     rng = np.random.default_rng(triplets.nrows * 31 + triplets.nnz)
     perm = rng.permutation(triplets.nrows)
     base = _multiply(fmt, variant, triplets, B, k)
     shuffled = _multiply(fmt, variant, _permuted_triplets(triplets, row_perm=perm), B, k)
-    err = _mismatch(shuffled[perm], base, rtol)
+    err = _mismatch(shuffled[perm], base, sums_left_to_right(variant))
     if err is not None:
         return [f"row permutation not equivariant: max abs deviation {err:.3e}"]
     return []
 
 
-def col_permutation(triplets, B, k, fmt, variant, rtol):
+def col_permutation(triplets, B, k, fmt, variant):
     """Permuting A's columns + inverse-permuting B's rows leaves C fixed."""
     rng = np.random.default_rng(triplets.ncols * 37 + triplets.nnz)
     perm = rng.permutation(triplets.ncols)
@@ -89,15 +96,17 @@ def col_permutation(triplets, B, k, fmt, variant, rtol):
     B_scattered[perm] = B  # B'[perm[c]] = B[c] pairs with A'[i, perm[c]] = A[i, c]
     base = _multiply(fmt, variant, triplets, B, k)
     moved = _multiply(fmt, variant, _permuted_triplets(triplets, col_perm=perm), B_scattered, k)
-    err = _mismatch(moved, base, rtol)
+    err = _mismatch(moved, base, exact=False)
     if err is not None:
         return [f"column permutation not invariant: max abs deviation {err:.3e}"]
     return []
 
 
-def scalar_scaling(triplets, B, k, fmt, variant, rtol):
+def scalar_scaling(triplets, B, k, fmt, variant):
     """(alpha A) @ B must equal alpha (A @ B)."""
-    alpha = -3.25  # exactly representable: scaling is bit-clean in binary fp
+    # A power of two scales every product and partial sum exactly; a
+    # negative alpha would turn zero rows into -0.0.
+    alpha = 2.0
     scaled = Triplets(
         nrows=triplets.nrows,
         ncols=triplets.ncols,
@@ -107,13 +116,13 @@ def scalar_scaling(triplets, B, k, fmt, variant, rtol):
     )
     base = _multiply(fmt, variant, triplets, B, k)
     got = _multiply(fmt, variant, scaled, B, k)
-    err = _mismatch(got, alpha * base, rtol)
+    err = _mismatch(got, alpha * base, sums_left_to_right(variant))
     if err is not None:
         return [f"scalar scaling violated: max abs deviation {err:.3e}"]
     return []
 
 
-def transpose_duality(triplets, B, k, fmt, variant, rtol):
+def transpose_duality(triplets, B, k, fmt, variant):
     """x @ (A @ B) == (A^T x) @ B, and transpose kernels match straight ones."""
     failures = []
     C = _multiply(fmt, variant, triplets, B, k)
@@ -124,7 +133,7 @@ def transpose_duality(triplets, B, k, fmt, variant, rtol):
     y = np.asarray(run_spmv(At, x), dtype=np.float64)  # A^T x
     left = x @ C
     right = y @ np.asarray(B, dtype=np.float64)[:, :k]
-    tol = result_tolerance(left, rtol) * max(np.abs(x).max(), 1.0) * max(triplets.nrows, 1)
+    tol = result_tolerance(left) * max(np.abs(x).max(), 1.0) * max(triplets.nrows, 1)
     err = float(np.abs(left - right).max()) if left.size else 0.0
     if err > tol:
         failures.append(
@@ -133,7 +142,7 @@ def transpose_duality(triplets, B, k, fmt, variant, rtol):
     # Study 8 kernels: transposed-operand variant must match the straight one.
     if not variant.endswith("_transpose"):
         Ct = _multiply(fmt, "serial_transpose", triplets, B, k)
-        terr = _mismatch(Ct, C, rtol)
+        terr = _mismatch(Ct, C, sums_left_to_right(variant))
         if terr is not None:
             failures.append(
                 f"serial_transpose disagrees with {variant}: max abs deviation {terr:.3e}"
@@ -141,20 +150,20 @@ def transpose_duality(triplets, B, k, fmt, variant, rtol):
     return failures
 
 
-def k_slicing(triplets, B, k, fmt, variant, rtol):
+def k_slicing(triplets, B, k, fmt, variant):
     """The first j columns of a width-k product equal the width-j product."""
     if k < 2:
         return []
     j = max(1, k // 2)
     full = _multiply(fmt, variant, triplets, B, k)
     sliced = _multiply(fmt, variant, triplets, B, j)
-    err = _mismatch(sliced, full[:, :j], rtol)
+    err = _mismatch(sliced, full[:, :j], sums_left_to_right(variant))
     if err is not None:
         return [f"k-slicing violated (k={k} -> j={j}): max abs deviation {err:.3e}"]
     return []
 
 
-def format_roundtrip(triplets, B, k, fmt, variant, rtol):
+def format_roundtrip(triplets, B, k, fmt, variant):
     """convert() through ``fmt`` and back must preserve matrix and product."""
     failures = []
     csr = get_format("csr").from_triplets(triplets)
@@ -169,7 +178,7 @@ def format_roundtrip(triplets, B, k, fmt, variant, rtol):
         return failures
     base = _multiply(fmt, variant, triplets, B, k)
     via = np.asarray(run_spmm(back, B, variant=variant, k=k), dtype=np.float64)
-    err = _mismatch(via, base, rtol)
+    err = _mismatch(via, base, sums_left_to_right(variant))
     if err is not None:
         return failures + [
             f"product after {fmt} round-trip deviates: max abs error {err:.3e}"
@@ -177,7 +186,7 @@ def format_roundtrip(triplets, B, k, fmt, variant, rtol):
     return failures
 
 
-def backward_duality(triplets, B, k, fmt, variant, rtol):
+def backward_duality(triplets, B, k, fmt, variant):
     """Backward A^T@G == transpose kernel on explicit A^T, bit for bit."""
     from ..kernels.backward import backward_spmm, transpose_spmm
 
@@ -195,10 +204,10 @@ def backward_duality(triplets, B, k, fmt, variant, rtol):
         failures.append(
             "backward_spmm is not bit-identical to transpose_spmm on explicit A^T"
         )
-    # Algebraic leg: the straight forward kernel on A^T computes the same
-    # product (different accumulation order, so tolerance applies).
+    # Algebraic leg: the straight forward kernel on A^T sums each row of
+    # A^T in the same order.
     want = _multiply(fmt, variant, triplets.transposed(), G, k)
-    err = _mismatch(got, want, rtol)
+    err = _mismatch(got, want, sums_left_to_right(variant))
     if err is not None:
         failures.append(
             f"backward duality (A^T@G vs forward on A^T) violated: "
@@ -207,7 +216,7 @@ def backward_duality(triplets, B, k, fmt, variant, rtol):
     return failures
 
 
-def spgemm_identity(triplets, B, k, fmt, variant, rtol):
+def spgemm_identity(triplets, B, k, fmt, variant):
     """A @ I == A under SpGEMM; A @ A^T matches the densified product."""
     from ..kernels.spgemm import spgemm
 
@@ -226,7 +235,7 @@ def spgemm_identity(triplets, B, k, fmt, variant, rtol):
     At = get_format("csr").from_triplets(triplets.transposed())
     prod = spgemm(A, At).to_dense()
     dense = want.astype(np.float64) @ want.astype(np.float64).T
-    err = _mismatch(prod, dense, rtol)
+    err = _mismatch(prod, dense, exact=False)
     if err is not None:
         failures.append(
             f"A @ A^T SpGEMM deviates from dense product: max abs error {err:.3e}"
@@ -234,7 +243,7 @@ def spgemm_identity(triplets, B, k, fmt, variant, rtol):
     return failures
 
 
-#: name -> relation(triplets, B, k, fmt, variant, rtol) -> [failure, ...]
+#: name -> relation(triplets, B, k, fmt, variant) -> [failure, ...]
 METAMORPHIC_RELATIONS: dict[str, Callable] = {
     "row_permutation": row_permutation,
     "col_permutation": col_permutation,
@@ -254,12 +263,11 @@ def run_relation(
     seed: int = 0,
     fmt: str = "csr",
     variant: str = "serial",
-    rtol: float = 1e-6,
 ) -> list[str]:
     """Run one named relation; returns failure strings (empty = holds)."""
     rng = np.random.default_rng(seed + 1)
     B = rng.standard_normal((triplets.ncols, k))
-    return METAMORPHIC_RELATIONS[name](triplets, B, k, fmt, variant, rtol)
+    return METAMORPHIC_RELATIONS[name](triplets, B, k, fmt, variant)
 
 
 def run_metamorphic(
@@ -269,7 +277,6 @@ def run_metamorphic(
     formats=None,
     variants=("serial",),
     relations=None,
-    rtol: float = 1e-6,
     tracer=None,
 ) -> list[dict]:
     """Run every relation across formats/variants.
@@ -287,7 +294,7 @@ def run_metamorphic(
         for variant in supported_variants(fmt, variants):
             for name in names:
                 checks += 1
-                for message in METAMORPHIC_RELATIONS[name](triplets, B, k, fmt, variant, rtol):
+                for message in METAMORPHIC_RELATIONS[name](triplets, B, k, fmt, variant):
                     failures.append(
                         {"relation": name, "fmt": fmt, "variant": variant, "message": message}
                     )

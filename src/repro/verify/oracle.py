@@ -9,25 +9,23 @@ every way the repository can compute the product —
 * ``plan_uncached`` / ``plan_cached`` — a fresh :class:`PlanCache` build,
   then the memoized plan for the same key (provenance asserted);
 * ``engine_direct`` / ``engine_batched`` — one request through the batched
-  :class:`~repro.engine.Engine`, and a fingerprint-grouped batch whose
-  members must agree bit-identically;
+  :class:`~repro.engine.Engine`, and every member of a fingerprint-grouped
+  batch;
 * ``server`` — the full serving stack (:class:`repro.serve.Client` →
-  NDJSON socket → :class:`repro.serve.Server` → engine), which must agree
-  **bit-identically** with the direct :func:`repro.api.multiply` result —
-  the wire codec ships raw array bytes precisely so serialization cannot
-  perturb a single ulp;
+  NDJSON socket → :class:`repro.serve.Server` → engine); the wire codec
+  ships raw array bytes, so serialization cannot perturb a single ulp;
 * ``auto`` — ``variant="auto"`` dispatch through an empty tune store (the
-  heuristic fallback) resolved against the explicit variant's result;
+  heuristic fallback);
 * ``migration`` — the same request through a migration-enabled engine
-  before and after :meth:`~repro.engine.Engine.force_migration`; the
-  post-migration result must agree **bit-identically** with the
-  pre-migration one (the online-migration swap gate's contract);
+  before and after :meth:`~repro.engine.Engine.force_migration` (the
+  online-migration swap gate's contract);
 
-— and asserts every result agrees with an independent dense reference
-within a tolerance scaled to the accumulation depth
-(:func:`repro.verify.reference.result_tolerance`).  Paths that share a
-closure (cached vs uncached plan; duplicate batch members) must agree
-**bit-identically**, not just within tolerance.
+— and asserts every result equals
+:func:`repro.verify.reference.exact_reference` byte for byte, so all
+paths agree with each other bit for bit.  The ``grouped`` variants sum in
+the order BLAS picks: their direct kernel result is held to the dense
+reference within :func:`repro.verify.reference.result_tolerance`, and
+every other path of the cell must then equal its bytes.
 
 The oracle is deliberately reusable: the fuzzer holds one instance for a
 whole run so engine workers and plan caches amortize across cases, and
@@ -43,10 +41,10 @@ from typing import Any
 import numpy as np
 
 from ..formats.registry import format_names, get_format
-from ..kernels.dispatch import SPMM_VARIANTS, run_spmm
+from ..kernels.dispatch import SPMM_VARIANTS, run_spmm, sums_left_to_right
 from ..kernels.plan import PlanCache, plan_supported
 from ..matrices.coo_builder import Triplets
-from .reference import dense_reference, result_tolerance
+from .reference import dense_reference, exact_reference, result_tolerance
 
 __all__ = [
     "PATH_NAMES",
@@ -109,7 +107,7 @@ class Discrepancy:
     fmt: str
     variant: str
     k: int
-    kind: str  # "value" | "shape" | "exception" | "bit" | "provenance"
+    kind: str  # "value" | "shape" | "exception" | "provenance"
     detail: str
     max_abs_err: float = float("nan")
     tolerance: float = float("nan")
@@ -118,8 +116,8 @@ class Discrepancy:
         loc = f"{self.path}/{self.fmt}/{self.variant}/k{self.k}"
         if self.kind == "value":
             return (
-                f"{loc}: max abs error {self.max_abs_err:.3e} "
-                f"exceeds tolerance {self.tolerance:.3e}"
+                f"{loc}: {self.detail} (max abs error {self.max_abs_err:.3e}, "
+                f"tolerance {self.tolerance:.3e})"
             )
         return f"{loc}: {self.kind} — {self.detail}"
 
@@ -155,8 +153,6 @@ class DifferentialOracle:
         Execution paths from :data:`PATH_NAMES` (default: all of them).
     threads:
         Thread count handed to parallel variants/paths.
-    rtol:
-        Relative tolerance fed to the accumulation-scaled band.
     tracer:
         Optional :class:`~repro.bench.observe.Tracer`; receives
         ``fuzz_oracle_checks`` / ``fuzz_oracle_discrepancies`` counters.
@@ -173,7 +169,6 @@ class DifferentialOracle:
         variants=("serial", "parallel"),
         paths=PATH_NAMES,
         threads: int = 2,
-        rtol: float = 1e-6,
         format_params: dict[str, dict] | None = None,
         tracer=None,
         backend: str = "thread",
@@ -185,7 +180,6 @@ class DifferentialOracle:
             raise ValueError(f"unknown oracle paths: {unknown}; known: {PATH_NAMES}")
         self.paths = tuple(paths)
         self.threads = int(threads)
-        self.rtol = float(rtol)
         self.format_params = dict(DEFAULT_FORMAT_PARAMS if format_params is None else format_params)
         self.tracer = tracer
         self.backend = backend
@@ -225,7 +219,8 @@ class DifferentialOracle:
         return self._engine
 
     def _get_migration_engine(self):
-        """A second engine with eager online migration, for the pre/post check."""
+        """A second engine with eager online migration, for the pre/post
+        check; every covered format is a candidate, so swaps cross formats."""
         if self._migration_engine is None:
             from ..engine import Engine, MigrationPolicy  # lazy (see _get_engine)
 
@@ -233,7 +228,9 @@ class DifferentialOracle:
                 workers=2,
                 max_in_flight=16,
                 backend=self.backend,
-                migration=MigrationPolicy(min_hits=1, margin=0.0, probe_repeats=1),
+                migration=MigrationPolicy(
+                    min_hits=1, margin=0.0, probe_repeats=1, candidate_formats=self.formats
+                ),
             )
         return self._migration_engine
 
@@ -267,21 +264,21 @@ class DifferentialOracle:
             B = rng.standard_normal((triplets.ncols, k or 8))
         B = np.asarray(B, dtype=np.float64)
         kk = int(k if k is not None else B.shape[1])
-        reference = dense_reference(triplets, B, kk)
-        tolerance = result_tolerance(reference, self.rtol)
+        exact = exact_reference(triplets, B, kk)
         use_paths = tuple(paths) if paths is not None else self.paths
         use_variants = tuple(variants) if variants is not None else self.variants
         report = OracleReport()
         for fmt in self.formats:
             A = self._build(fmt, triplets)
             for variant in supported_variants(fmt, use_variants):
+                want, tolerance = self._expected(A, triplets, variant, B, kk, exact)
                 for path in use_paths:
                     outcome = self._run_path(path, triplets, A, fmt, variant, B, kk)
                     if outcome is None:  # path not applicable to this cell
                         continue
                     report.checks += 1
                     report.discrepancies.extend(
-                        self._judge(outcome, path, fmt, variant, kk, reference, tolerance)
+                        self._judge(outcome, path, fmt, variant, kk, want, tolerance)
                     )
         if self.tracer is not None:
             self.tracer.count("fuzz_oracle_checks", report.checks)
@@ -301,18 +298,33 @@ class DifferentialOracle:
         """Re-run exactly one (path, fmt, variant) cell — the shrink predicate."""
         rng = np.random.default_rng(seed + 1)
         B = rng.standard_normal((triplets.ncols, k))
-        reference = dense_reference(triplets, B, k)
-        tolerance = result_tolerance(reference, self.rtol)
         A = self._build(fmt, triplets)
         outcome = self._run_path(path, triplets, A, fmt, variant, B, k)
         if outcome is None:
             return []
-        return self._judge(outcome, path, fmt, variant, k, reference, tolerance)
+        expected = self._expected(A, triplets, variant, B, k, exact_reference(triplets, B, k))
+        return self._judge(outcome, path, fmt, variant, k, *expected)
 
     # -- internals -------------------------------------------------------------
 
     def _build(self, fmt: str, triplets: Triplets):
         return get_format(fmt).from_triplets(triplets, **self.format_params.get(fmt, {}))
+
+    def _expected(self, A, triplets, variant, B, k, exact) -> tuple[np.ndarray, float]:
+        """``(want, tolerance)`` for every path of a cell: ``exact``, or for a
+        BLAS-order variant the direct kernel's bytes if they sit within the
+        dense reference's band (else that band; the direct path reports it)."""
+        if sums_left_to_right(variant):
+            return exact, 0.0
+        dense = dense_reference(triplets, B, k)
+        band = result_tolerance(dense)
+        try:
+            anchor = run_spmm(A, B, variant=variant, k=k, **self._kernel_options(variant))
+        except Exception:  # noqa: BLE001 - the direct path reports it
+            return dense, band
+        if anchor.shape == dense.shape and np.abs(anchor - dense).max(initial=0.0) <= band:
+            return anchor, 0.0
+        return dense, band
 
     def _kernel_options(self, variant: str) -> dict[str, Any]:
         return {"threads": self.threads} if "parallel" in variant else {}
@@ -356,133 +368,99 @@ class DifferentialOracle:
         if not plan_supported(variant):
             return None
         cache = PlanCache(maxsize=8)
-        plan, provenance = cache.get_or_build_plan(
-            triplets,
-            fmt,
-            variant=variant,
-            k=k,
-            threads=self.threads if "parallel" in variant else 1,
-            format_params=self.format_params.get(fmt),
-        )
-        uncached = plan(B)
+
+        def lookup():
+            return cache.get_or_build_plan(
+                triplets,
+                fmt,
+                variant=variant,
+                k=k,
+                threads=self.threads if "parallel" in variant else 1,
+                format_params=self.format_params.get(fmt),
+            )
+
+        plan, provenance = lookup()
         if provenance != "built":
             return [_ProvenanceViolation(f"cold build reported provenance {provenance!r}")]
         if path == "plan_uncached":
-            return [uncached]
-        plan2, provenance2 = cache.get_or_build_plan(
-            triplets,
-            fmt,
-            variant=variant,
+            return [plan(B)]
+        plan, provenance = lookup()
+        if provenance != "memory":
+            return [_ProvenanceViolation(f"warm lookup reported provenance {provenance!r}")]
+        return [plan(B)]
+
+    def _request(self, triplets, fmt, variant, B, k):
+        from ..engine import SpmmRequest  # lazy (see _get_engine)
+
+        return SpmmRequest(
+            matrix=triplets,
             k=k,
+            fmt=fmt,
+            fmt_params=self.format_params.get(fmt),
+            variant=variant,
             threads=self.threads if "parallel" in variant else 1,
-            format_params=self.format_params.get(fmt),
+            repeats=1,
+            dense=np.ascontiguousarray(B[:, :k]),
         )
-        if provenance2 != "memory":
-            return [_ProvenanceViolation(f"warm lookup reported provenance {provenance2!r}")]
-        cached = plan2(B)
-        if not np.array_equal(uncached, cached):
-            return [_BitViolation("cached plan result differs bit-wise from uncached build")]
-        return [cached]
 
     def _run_engine_path(self, path, triplets, fmt, variant, B, k):
         if variant == "auto":
             return None
-        from ..engine import SpmmRequest  # lazy (see _get_engine)
-
         engine = self._get_engine()
-        request = SpmmRequest(
-            matrix=triplets,
-            k=k,
+        request = self._request(triplets, fmt, variant, B, k)
+        if path == "engine_direct":
+            return [engine.run(request).output]
+        return [r.output for r in engine.map_batch([request, request, request])]
+
+    def _run_server_path(self, triplets, fmt, variant, B, k):
+        """Client → socket → server → engine."""
+        if variant == "auto":
+            return None
+        reply = self._get_client().multiply(
+            triplets,
+            dense=np.ascontiguousarray(B[:, :k]),
             fmt=fmt,
             fmt_params=self.format_params.get(fmt),
             variant=variant,
-            threads=self.threads if "parallel" in variant else 1,
-            repeats=1,
-            dense=np.ascontiguousarray(B[:, :k]),
-        )
-        if path == "engine_direct":
-            return [engine.run(request).output]
-        results = engine.map_batch([request, request, request])
-        outputs = [r.output for r in results]
-        for other in outputs[1:]:
-            if not np.array_equal(outputs[0], other):
-                return [_BitViolation("engine batch members disagree bit-wise")]
-        return [outputs[0]]
-
-    def _run_server_path(self, triplets, fmt, variant, B, k):
-        """Client → socket → server → engine, bit-identical to api.multiply."""
-        if variant == "auto":
-            return None
-        from .. import api  # lazy: api imports bench.suite imports verify.reference
-
-        dense = np.ascontiguousarray(B[:, :k])
-        params = self.format_params.get(fmt)
-        reply = self._get_client().multiply(
-            triplets,
-            dense=dense,
-            fmt=fmt,
-            fmt_params=params,
-            variant=variant,
             k=k,
             threads=self.threads if "parallel" in variant else 1,
         )
-        direct = api.multiply(
-            triplets, dense, fmt=fmt, fmt_params=params, variant=variant, k=k,
-            **self._kernel_options(variant),
-        )
-        if not np.array_equal(reply.output, direct):
-            return [_BitViolation("served result differs bit-wise from api.multiply")]
         return [reply.output]
 
     def _run_migration_path(self, triplets, fmt, variant, B, k):
-        """Pre/post online-migration outputs must be bit-identical."""
-        if variant == "auto" or not plan_supported(variant):
-            return None
-        from ..engine import SpmmRequest  # lazy (see _get_engine)
+        """The outputs before and after a forced online migration."""
+        from ..engine.migration import migratable  # lazy (see _get_engine)
         from ..errors import EngineError
 
+        if not migratable(variant):
+            return None
         engine = self._get_migration_engine()
-        request = SpmmRequest(
-            matrix=triplets,
-            k=k,
-            fmt=fmt,
-            fmt_params=self.format_params.get(fmt),
-            variant=variant,
-            threads=self.threads if "parallel" in variant else 1,
-            repeats=1,
-            dense=np.ascontiguousarray(B[:, :k]),
-        )
+        request = self._request(triplets, fmt, variant, B, k)
         pre = engine.run(request).output
         try:
             engine.force_migration(request)
         except EngineError:
             return None  # no plannable target for this cell: skip, not fail
-        post = engine.run(request).output
-        if not np.array_equal(pre, post):
-            return [_BitViolation(
-                "post-migration result differs bit-wise from pre-migration"
-            )]
-        return [post]
+        return [pre, engine.run(request).output]
 
     def _run_auto_path(self, A, variant, B, k):
         # auto is one resolution per matrix, not per variant: run it once
-        # (against the first configured variant) to keep the check linear.
-        if variant != self.variants[0]:
+        # (against the first configured variant that sums left to right, as
+        # the heuristic fallback always resolves to one) to keep it linear.
+        if variant != next(filter(sums_left_to_right, self.variants), None):
             return None
         from ..tune.store import TuneStore  # lazy: tune sits above kernels
 
         return [run_spmm(A, B, variant="auto", k=k, tune_store=TuneStore())]
 
-    def _judge(self, outcome, path, fmt, variant, k, reference, tolerance):
-        """Compare one path's results against the reference."""
+    def _judge(self, outcome, path, fmt, variant, k, want, tolerance):
+        """Compare one path's results against :meth:`_expected`'s reference."""
         found: list[Discrepancy] = []
         for result in outcome:
             if isinstance(result, _ProvenanceViolation):
                 found.append(
                     Discrepancy(path, fmt, variant, k, "provenance", str(result))
                 )
-            elif isinstance(result, _BitViolation):
-                found.append(Discrepancy(path, fmt, variant, k, "bit", str(result)))
             elif isinstance(result, Exception):
                 found.append(
                     Discrepancy(
@@ -490,31 +468,28 @@ class DifferentialOracle:
                         f"{type(result).__name__}: {result}",
                     )
                 )
-            elif np.asarray(result).shape != reference.shape:
+            elif np.asarray(result).shape != want.shape:
                 found.append(
                     Discrepancy(
                         path, fmt, variant, k, "shape",
                         f"result shape {np.asarray(result).shape} != "
-                        f"reference {reference.shape}",
+                        f"reference {want.shape}",
                     )
                 )
             else:
                 arr = np.asarray(result, dtype=np.float64)
-                max_err = float(np.abs(arr - reference).max()) if reference.size else 0.0
-                if not np.isfinite(arr).all():
+                # A non-finite entry makes the error NaN or inf: never <= tolerance.
+                err = float(np.abs(arr - want).max()) if want.size else 0.0
+                if tolerance:
+                    ok, detail = err <= tolerance, "result disagrees with dense reference"
+                else:
+                    ok = arr.tobytes() == want.tobytes()
+                    detail = "result differs bit-wise from the reference"
+                if not ok:
                     found.append(
                         Discrepancy(
-                            path, fmt, variant, k, "value",
-                            "non-finite entries in result",
-                            max_abs_err=float("inf"), tolerance=tolerance,
-                        )
-                    )
-                elif max_err > tolerance:
-                    found.append(
-                        Discrepancy(
-                            path, fmt, variant, k, "value",
-                            "result disagrees with dense reference",
-                            max_abs_err=max_err, tolerance=tolerance,
+                            path, fmt, variant, k, "value", detail,
+                            max_abs_err=err, tolerance=tolerance,
                         )
                     )
         return found
@@ -527,6 +502,3 @@ class _Inapplicable(Exception):
 class _ProvenanceViolation(str):
     """Plan-cache provenance contract broken (wrapped as a sentinel result)."""
 
-
-class _BitViolation(str):
-    """Bit-identity contract broken (wrapped as a sentinel result)."""

@@ -17,6 +17,7 @@ from repro.engine import Engine, MigrationPolicy, SpmmRequest
 from repro.engine.migration import MigrationManager
 from repro.errors import EngineError
 from repro.kernels.plan import PlanCache
+from repro.matrices.coo_builder import CooBuilder
 from repro.tune.store import TuneDecision, TuneStore
 
 from ..conftest import make_random_triplets
@@ -164,11 +165,9 @@ class TestDecisionRule:
         assert again.reason == "already-migrated"
         manager.close()
 
-    def test_cross_format_tuned_decision_excluded_under_bit_gate(self):
-        """Fuzz regression: a tuned winner recorded for ANOTHER format of
-        the same fingerprint must not become a candidate while the
-        bit-identity gate is on — one probe operand can coincide bitwise
-        across formats and diverge on the next operand."""
+    def test_cross_format_tuned_decision_is_a_candidate(self):
+        """Every format sums each row left to right, so a tuned winner
+        recorded for another format is probed under the bit-identity gate."""
         store = TuneStore()
         store.record(
             TuneDecision(
@@ -178,33 +177,46 @@ class TestDecisionRule:
             ),
             persist=False,
         )
-        strict = MigrationManager(
+        manager = MigrationManager(
             plan_cache=PlanCache(), tracer=Tracer(), tune_store=store,
             policy=MigrationPolicy(candidate_variants=("serial",)),
         )
         key = PlanCache.migration_key("fp", "ell", "serial", 8, 1)
-        assert ("csr", "optimized", 1, ()) not in strict._candidates(key)
-        relaxed = MigrationManager(
-            plan_cache=PlanCache(), tracer=Tracer(), tune_store=store,
-            policy=MigrationPolicy(
-                require_bit_identity=False, candidate_variants=("serial",)
-            ),
-        )
-        assert ("csr", "optimized", 1, ()) in relaxed._candidates(key)
-        strict.close()
-        relaxed.close()
+        assert ("csr", "optimized", 1, ()) in manager._candidates(key)
+        manager.close()
 
-    def test_candidate_formats_need_relaxed_gate(self):
+    def test_candidate_formats_probed_under_bit_gate(self):
         policy = MigrationPolicy(
             candidate_formats=("ell",), candidate_variants=("serial",)
         )
-        strict = MigrationManager(
+        manager = MigrationManager(
             plan_cache=PlanCache(), tracer=Tracer(), tune_store=TuneStore(),
             policy=policy,
         )
         key = PlanCache.migration_key("fp", "csr", "serial", 8, 1)
-        assert all(cand[0] == "csr" for cand in strict._candidates(key))
-        strict.close()
+        assert manager._candidates(key) == [("ell", "serial", 1, ())]
+        manager.close()
+
+    def test_grouped_winner_is_not_a_candidate(self):
+        """``grouped`` sums in BLAS order: its bytes can match ``serial`` on
+        one probe operand and differ on the next, so no probe proves it."""
+        store = TuneStore()
+        store.record(
+            TuneDecision(
+                fingerprint="fp", matrix="m", format_name="csr",
+                variant="grouped", threads=1, chunk_elements=1024, k=8,
+                score_mflops=1.0, mode="online",
+            ),
+            persist=False,
+        )
+        manager = MigrationManager(
+            plan_cache=PlanCache(), tracer=Tracer(), tune_store=store,
+            policy=MigrationPolicy(candidate_variants=("serial", "grouped_parallel")),
+        )
+        key = PlanCache.migration_key("fp", "csr", "optimized", 8, 1)
+        candidates = manager._candidates(key)
+        assert candidates == [("csr", "serial", 1, ())]
+        manager.close()
 
     def test_bit_identity_gate(self):
         manager = self._manager(MigrationPolicy())
@@ -213,13 +225,7 @@ class TestDecisionRule:
         assert not manager._acceptable(ref, ref + 1e-12)
         assert not manager._acceptable(ref, ref.astype(np.float32))
         assert not manager._acceptable(ref, ref[:2])
-        relaxed = self._manager(
-            MigrationPolicy(require_bit_identity=False, rtol=1e-9)
-        )
-        assert relaxed._acceptable(ref, ref + 1e-12)
-        assert not relaxed._acceptable(ref, ref + 1.0)
         manager.close()
-        relaxed.close()
 
 
 class TestEngineMigration:
@@ -242,6 +248,40 @@ class TestEngineMigration:
         assert stats["migration_served"] >= 1
         if backend == "process":
             assert stats["migration_worker_served"] >= 1
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_nonfinite_operand_keeps_arrival_cell(self, backend):
+        """Padding computes 0 * inf = NaN: after a csr -> ell swap, a B with
+        an inf still gets the csr bytes."""
+        builder = CooBuilder(2, 3)
+        builder.add_batch([0, 0, 1], [0, 2, 1], [1.0, 2.0, 3.0])
+        t = builder.finish()
+        policy = MigrationPolicy(
+            probe_repeats=1, candidate_formats=("ell",), candidate_variants=("serial",)
+        )
+        inf_b = np.array([[1.0], [np.inf], [1.0]])
+        with Engine(workers=1, backend=backend, migration=policy) as engine:
+            req = _hot_request(t, k=1, dense=np.ones((3, 1)))
+            outcome = engine.force_migration(req)
+            assert outcome.target is not None
+            assert outcome.target.format_name == "ell"
+            assert engine.run(req).migrated
+            with np.errstate(invalid="ignore"):
+                result = engine.run(_hot_request(t, k=1, dense=inf_b))
+        assert not result.migrated
+        assert result.output.tobytes() == np.array([[3.0], [np.inf]]).tobytes()
+
+    def test_grouped_is_never_migrated(self):
+        t = make_random_triplets(40, 40, density=0.2, seed=14)
+        policy = MigrationPolicy(min_hits=1, margin=0.0, probe_repeats=1)
+        with Engine(workers=1, backend="thread", migration=policy) as engine:
+            req = _hot_request(t, variant="grouped")
+            for _ in range(3):
+                assert not engine.run(req).migrated
+            with pytest.raises(EngineError, match="not migratable"):
+                engine.force_migration(req)
+            stats = engine.stats
+        assert "migration_tracked" not in stats
 
     def test_migration_disabled_engine_refuses(self):
         t = make_random_triplets(30, 30, density=0.3, seed=12)

@@ -18,6 +18,7 @@ from repro.kernels.spgemm import spgemm
 from repro.matrices import suite
 from repro.matrices.coo_builder import CooBuilder, Triplets
 from repro.verify.adversarial import degenerate_zoo
+from repro.verify.reference import exact_reference
 from tests.conftest import ALL_FORMATS, build_format
 
 
@@ -83,6 +84,16 @@ def test_plan_sums_left_to_right(fmt, variant, opts):
         for k in WIDTHS:
             got = run_spmm(A, _operand(T, k), variant, **opts)
             assert got.tobytes() == REFERENCES[name, k].tobytes(), (name, k)
+
+
+def test_exact_reference_sums_left_to_right():
+    """The verifier's reference is this loop, so the oracle can demand bytes."""
+    for name, T in MATRICES.items():
+        for k in WIDTHS:
+            B = _operand(T, k)
+            want = REFERENCES[name, k].tobytes()
+            assert exact_reference(T, B).tobytes() == want, (name, k)
+            assert exact_reference(T, np.hstack([B, B]), k).tobytes() == want, (name, k)
 
 
 def gustavson(A, B) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
